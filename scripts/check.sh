@@ -32,6 +32,8 @@ require_file() {
 }
 require_file results/ablation_fault_recovery.txt \
   "regenerate with: build-release/bench/ablation_fault_recovery > results/ablation_fault_recovery.txt"
+require_file results/fig8_skew.txt \
+  "regenerate with: build-release/bench/fig8_skew > results/fig8_skew.txt"
 require_file results/BENCH_dist.json "regenerate with: scripts/bench_dist.sh"
 require_file results/BENCH_serve.json "regenerate with: scripts/bench_serve.sh"
 require_file results/BENCH_plan.json "regenerate with: scripts/bench_plan.sh"
@@ -45,8 +47,9 @@ require_file results/BENCH_cluster.json \
 
 run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
 
-# Deterministic fault-recovery smoke: the ablation at its fixed seed must
-# stay byte-identical to the checked-in golden table.
+# Deterministic golden smoke: the fault-recovery ablation and the Fig. 8
+# skew sweep (hash-join duplicate chains) at their fixed seeds must stay
+# byte-identical to their checked-in golden tables.
 scripts/fault_smoke.sh build-release
 
 # Metrics emission smoke: a small bench run with --json must produce

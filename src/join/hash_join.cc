@@ -10,10 +10,19 @@
 
 namespace gpujoin::join {
 
+Status HashJoinConfig::Validate() const {
+  if (probe_sample == 0) {
+    return Status::InvalidArgument("hash join probe_sample must be >= 1");
+  }
+  return table.Validate();
+}
+
 Result<sim::RunResult> HashJoin::Run(sim::Gpu& gpu,
                                      const workload::KeyColumn& r,
                                      const workload::ProbeRelation& s,
                                      const HashJoinConfig& config) {
+  Status valid = config.Validate();
+  if (!valid.ok()) return valid;
   mem::AddressSpace& space = gpu.memory().space();
   const double build_scale = s.scale();
   const uint64_t n_r = r.size();
@@ -21,7 +30,8 @@ Result<sim::RunResult> HashJoin::Run(sim::Gpu& gpu,
   const double probe_scale =
       static_cast<double>(n_r) / static_cast<double>(probe_sample);
 
-  // Full-size table in simulated GPU memory (sparse functional storage).
+  // Full-size table in simulated GPU memory (functional storage holds
+  // only the sampled keys).
   MultiValueHashTable table(&space, s.full_size, s.full_size, config.table);
   if (table.footprint_bytes() > gpu.platform().gpu.hbm_capacity) {
     return Status::ResourceExhausted(

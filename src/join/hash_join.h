@@ -16,6 +16,10 @@ struct HashJoinConfig {
   // extrapolated to |R| (the scan is perfectly regular, so a contiguous
   // sample is representative).
   uint64_t probe_sample = uint64_t{1} << 20;
+
+  // InvalidArgument naming the bad field: the table options, or a zero
+  // probe_sample (which would extrapolate by |R| / 0).
+  Status Validate() const;
 };
 
 // No-partitioning GPU hash join: builds a WarpCore-style multi-value hash
@@ -24,9 +28,10 @@ struct HashJoinConfig {
 // streamed across the interconnect. This is the baseline every INLJ
 // variant is compared against in Figs. 3, 5, 7–9.
 //
-// Fails with ResourceExhausted when the hash table would not fit in GPU
-// memory — the constraint that caps the build side at |S| = 2^26 in the
-// paper's setup.
+// Fails with InvalidArgument, before anything is allocated, on a config
+// that does not Validate(), and with ResourceExhausted when the hash table
+// would not fit in GPU memory — the constraint that caps the build side at
+// |S| = 2^26 in the paper's setup.
 class HashJoin {
  public:
   static Result<sim::RunResult> Run(

@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "util/bit_util.h"
 #include "util/check.h"
 
 namespace gpujoin::join {
+
+Status MultiValueHashTable::Options::Validate() const {
+  if (!(load_factor > 0 && load_factor <= 0.9)) {
+    return Status::InvalidArgument(
+        "hash table load_factor must be in (0, 0.9], got " +
+        std::to_string(load_factor));
+  }
+  if (max_bucket_size < 2) {
+    return Status::InvalidArgument(
+        "hash table max_bucket_size must be >= 2, got " +
+        std::to_string(max_bucket_size));
+  }
+  return Status();
+}
 
 MultiValueHashTable::MultiValueHashTable(mem::AddressSpace* space,
                                          uint64_t expected_keys,
@@ -21,8 +36,7 @@ MultiValueHashTable::MultiValueHashTable(mem::AddressSpace* space,
       expected_values_(expected_values) {
   GPUJOIN_CHECK(expected_keys > 0);
   GPUJOIN_CHECK(expected_values >= expected_keys);
-  GPUJOIN_CHECK(options.load_factor > 0 && options.load_factor <= 0.9);
-  GPUJOIN_CHECK(max_bucket_size_ >= 2);
+  GPUJOIN_CHECK(options.Validate().ok()) << options.Validate().ToString();
 
   capacity_ = bits::NextPowerOfTwo(static_cast<uint64_t>(
       static_cast<double>(expected_keys) / options.load_factor));
@@ -53,16 +67,16 @@ uint64_t gpu_line_bytes(sim::Warp& warp) {
 }
 }  // namespace
 
-std::pair<uint64_t, int> MultiValueHashTable::ProbeSlot(Key key) const {
+MultiValueHashTable::Probe MultiValueHashTable::ProbeSlot(sim::Warp& warp,
+                                                          Key key) {
   uint64_t idx = HashSlot(key);
-  int steps = 1;
   while (true) {
-    auto it = slots_.find(idx);
-    if (it == slots_.end() || it->second.key == key) {
-      return {idx, steps};
-    }
+    const uint32_t* record = slot_records_.Find(idx);
+    if (record == nullptr) return {idx, nullptr};
+    Slot& slot = slots_[*record];
+    if (slot.key == key) return {idx, &slot};
     idx = (idx + 1) & (capacity_ - 1);
-    ++steps;
+    warp.memory().Access(SlotAddr(idx), kSlotBytes, sim::AccessType::kRead);
   }
 }
 
@@ -79,28 +93,30 @@ void MultiValueHashTable::InsertWarp(sim::Warp& warp, const Key* keys,
 
   for (int lane = 0; lane < kW; ++lane) {
     if (!(mask & (1u << lane))) continue;
-    const Key key = keys[lane];
-    auto [slot_idx, steps] = ProbeSlot(key);
-    for (int s = 1; s < steps; ++s) {
-      warp.memory().Access(SlotAddr((HashSlot(key) + s) & (capacity_ - 1)),
-                           kSlotBytes, sim::AccessType::kRead);
-    }
-
-    Slot& slot = slots_[slot_idx];
-    if (slot.count == 0) {
+    const Probe probe = ProbeSlot(warp, keys[lane]);
+    Slot* slot = probe.slot;
+    if (slot == nullptr) {
       // New key: claim the slot; the first value is stored inline.
-      slot.key = key;
-      warp.memory().Access(SlotAddr(slot_idx), kSlotBytes,
+      slot_records_[probe.slot_idx] = static_cast<uint32_t>(slots_.size());
+      slot = &slots_.emplace_back(
+          Slot{keys[lane], values[lane], /*count=*/0, kNoChain});
+      warp.memory().Access(SlotAddr(probe.slot_idx), kSlotBytes,
                            sim::AccessType::kWrite);
     } else {
+      if (slot->chain == kNoChain) {
+        slot->chain = static_cast<uint32_t>(chains_.size());
+        chains_.emplace_back();
+      }
+      Chain& chain = chains_[slot->chain];
+      std::vector<Bucket>& buckets = chain.buckets;
       // Walk the bucket list to the tail (WarpCore-style append).
-      const uint64_t hops = slot.buckets.size();
+      const uint64_t hops = buckets.size();
       if (hops > 0) {
         total_walk_hops_ += hops;
-        warp.memory().SerialChain(slot.buckets.front().addr, hops,
+        warp.memory().SerialChain(buckets.front().addr, hops,
                                   sim::AccessType::kRead);
       }
-      if (slot.buckets.empty()) {
+      if (buckets.empty()) {
         // Second value: open the first bucket and spill the inline value.
         Bucket bucket = AllocateBucket(2);
         warp.memory().Access(bucket.addr, kBucketHeaderBytes,
@@ -108,25 +124,25 @@ void MultiValueHashTable::InsertWarp(sim::Warp& warp, const Key* keys,
         warp.memory().Access(bucket.addr + kBucketHeaderBytes, 16,
                              sim::AccessType::kWrite);
         bucket.used = 1;  // the spilled inline value
-        slot.buckets.push_back(bucket);
-      } else if (slot.buckets.back().used == slot.buckets.back().capacity) {
-        const uint32_t next_capacity = std::min(
-            max_bucket_size_, slot.buckets.back().capacity * 2);
+        buckets.push_back(bucket);
+      } else if (buckets.back().used == buckets.back().capacity) {
+        const uint32_t next_capacity =
+            std::min(max_bucket_size_, buckets.back().capacity * 2);
         Bucket bucket = AllocateBucket(next_capacity);
         warp.memory().Access(bucket.addr, kBucketHeaderBytes,
                              sim::AccessType::kWrite);
-        slot.buckets.push_back(bucket);
+        buckets.push_back(bucket);
       }
-      Bucket& tail = slot.buckets.back();
+      Bucket& tail = buckets.back();
       warp.memory().Access(
           tail.addr + kBucketHeaderBytes + uint64_t{tail.used} * 8, 8,
           sim::AccessType::kWrite);
       ++tail.used;
+      chain.values.push_back(values[lane]);
     }
-    slot.values.push_back(values[lane]);
-    ++slot.count;
+    ++slot->count;
     ++num_values_;
-    if (slot.count > max_duplicates_) max_duplicates_ = slot.count;
+    if (slot->count > max_duplicates_) max_duplicates_ = slot->count;
   }
 }
 
@@ -156,29 +172,27 @@ uint32_t MultiValueHashTable::RetrieveWarp(
   uint32_t found = 0;
   for (int lane = 0; lane < kW; ++lane) {
     if (!(mask & (1u << lane))) continue;
-    const Key key = keys[lane];
-    auto [slot_idx, steps] = ProbeSlot(key);
-    for (int s = 1; s < steps; ++s) {
-      warp.memory().Access(SlotAddr((HashSlot(key) + s) & (capacity_ - 1)),
-                           kSlotBytes, sim::AccessType::kRead);
-    }
-    auto it = slots_.find(slot_idx);
-    if (it == slots_.end()) continue;  // key absent
-    const Slot& slot = it->second;
+    const Slot* slot = ProbeSlot(warp, keys[lane]).slot;
+    if (slot == nullptr) continue;  // key absent
     found |= 1u << lane;
 
     // The inline value came with the slot read; bucket-list values cost
     // one dependent hop per bucket plus the bucket contents.
-    if (!slot.buckets.empty()) {
-      warp.memory().SerialChain(slot.buckets.front().addr,
-                                slot.buckets.size(), sim::AccessType::kRead);
-      for (const Bucket& bucket : slot.buckets) {
+    const Chain* chain =
+        slot->chain == kNoChain ? nullptr : &chains_[slot->chain];
+    if (chain != nullptr) {
+      warp.memory().SerialChain(chain->buckets.front().addr,
+                                chain->buckets.size(), sim::AccessType::kRead);
+      for (const Bucket& bucket : chain->buckets) {
         warp.memory().Stream(bucket.addr + kBucketHeaderBytes,
                              uint64_t{bucket.used} * 8,
                              sim::AccessType::kRead);
       }
     }
-    for (uint64_t v : slot.values) emit(lane, v);
+    emit(lane, slot->first_value);
+    if (chain != nullptr) {
+      for (uint64_t v : chain->values) emit(lane, v);
+    }
   }
   return found;
 }

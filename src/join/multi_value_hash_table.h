@@ -3,12 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/address_space.h"
 #include "sim/gpu.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
+#include "util/status.h"
 #include "workload/key_column.h"
 
 namespace gpujoin::join {
@@ -22,10 +23,12 @@ using workload::Key;
 // go to a bucket list whose bucket capacities grow geometrically up to
 // `max_bucket_size` (512 in the paper's configuration).
 //
-// Functional storage is sparse (hash maps keyed by slot id) while the
-// simulated address layout is the full-size table, so cache and HBM
-// behaviour match a real table even when only a sample of the build side
-// is inserted.
+// Functional storage holds only the inserted keys: a flat map from each
+// occupied slot index to a dense record (key, count, inline first value),
+// with a duplicate key's bucket list and later values in a side vector.
+// The simulated address layout is the full-size slot array, so cache and
+// HBM behaviour match a real table even when only a sample of the build
+// side is inserted.
 //
 // Appending to a key's bucket list walks to the tail bucket. Under heavy
 // key duplication (the Zipf-skewed build sides of Fig. 8) those walks
@@ -37,6 +40,10 @@ class MultiValueHashTable {
   struct Options {
     double load_factor = 0.5;        // paper Sec. 3.2
     uint32_t max_bucket_size = 512;  // paper Sec. 3.2 ("block size")
+
+    // InvalidArgument unless load_factor is in (0, 0.9] and
+    // max_bucket_size >= 2. The constructor CHECKs it.
+    Status Validate() const;
   };
 
   // `expected_keys` / `expected_values` size the simulated (full-scale)
@@ -75,11 +82,12 @@ class MultiValueHashTable {
   // Total tail-walk bucket hops performed across all inserts so far.
   uint64_t total_walk_hops() const { return total_walk_hops_; }
 
-  // Iterates (key, duplicate_count) over all stored keys; used by the
-  // hash join to extrapolate full-scale duplicate-chain costs.
+  // Iterates (key, duplicate_count) over all stored keys in insertion
+  // order; used by the hash join to extrapolate full-scale duplicate-chain
+  // costs.
   void ForEachKeyCount(
       const std::function<void(Key key, uint64_t count)>& fn) const {
-    for (const auto& [idx, slot] : slots_) fn(slot.key, slot.count);
+    for (const Slot& slot : slots_) fn(slot.key, slot.count);
   }
 
   uint32_t max_bucket_size() const { return max_bucket_size_; }
@@ -94,16 +102,32 @@ class MultiValueHashTable {
     uint32_t used;
   };
 
+  static constexpr uint32_t kNoChain = ~uint32_t{0};
+
+  // One stored key. A unique key lives entirely in its record; the second
+  // insert of a key gives it a chain.
   struct Slot {
     Key key;
+    uint64_t first_value;  // the inline value
+    uint64_t count;        // values stored for this key
+    uint32_t chain;        // index into chains_, or kNoChain
+  };
+
+  struct Chain {
     std::vector<Bucket> buckets;   // list, head first
-    std::vector<uint64_t> values;  // functional contents
-    uint64_t count = 0;            // values stored for this key
+    std::vector<uint64_t> values;  // values after the first
+  };
+
+  // Result of a functional probe: the slot index holding `key` (or the
+  // empty slot to claim) and the key's record (nullptr when absent).
+  struct Probe {
+    uint64_t slot_idx;
+    Slot* slot;
   };
 
   uint64_t HashSlot(Key key) const {
-    return SplitMix64(static_cast<uint64_t>(key) * 0x9ddfea08eb382d69ULL) %
-           capacity_;
+    return SplitMix64(static_cast<uint64_t>(key) * 0x9ddfea08eb382d69ULL) &
+           (capacity_ - 1);
   }
   mem::VirtAddr SlotAddr(uint64_t slot) const {
     return slot_region_.base + slot * kSlotBytes;
@@ -112,9 +136,9 @@ class MultiValueHashTable {
   // Bump-allocates a bucket of `capacity` values from the pool.
   Bucket AllocateBucket(uint32_t capacity);
 
-  // Functional probe: returns the slot index for `key` (existing or the
-  // empty slot to claim) and the number of probe steps taken.
-  std::pair<uint64_t, int> ProbeSlot(Key key) const;
+  // Functional linear probe for `key`; charges each step after the first
+  // to the memory model (the first is part of the warp's gather).
+  Probe ProbeSlot(sim::Warp& warp, Key key);
 
   uint32_t max_bucket_size_;
   uint64_t expected_values_;
@@ -125,7 +149,9 @@ class MultiValueHashTable {
   uint64_t num_values_ = 0;
   uint64_t max_duplicates_ = 0;
   uint64_t total_walk_hops_ = 0;
-  std::unordered_map<uint64_t, Slot> slots_;  // slot index -> content
+  util::FlatMap64<uint32_t> slot_records_;  // slot index -> slots_ index
+  std::vector<Slot> slots_;                 // insertion order
+  std::vector<Chain> chains_;
 };
 
 }  // namespace gpujoin::join

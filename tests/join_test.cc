@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "join/hash_join.h"
@@ -245,6 +247,112 @@ TEST(HashJoin, DeterministicAcrossRuns) {
   auto rb = HashJoin::Run(b, r, s).value();
   EXPECT_DOUBLE_EQ(ra.seconds, rb.seconds);
   EXPECT_EQ(ra.counters.hbm_read_bytes, rb.counters.hbm_read_bytes);
+}
+
+TEST(HashJoin, RejectsBadConfigBeforeAllocating) {
+  const struct {
+    const char* field;  // the message must name it
+    HashJoinConfig config;
+  } cases[] = {
+      {"probe_sample", {.table = {}, .probe_sample = 0}},
+      {"load_factor", {.table = {.load_factor = 0}}},
+      {"load_factor", {.table = {.load_factor = 0.95}}},
+      {"load_factor", {.table = {.load_factor = std::nan("")}}},
+      {"max_bucket_size", {.table = {.max_bucket_size = 1}}},
+      {"max_bucket_size", {.table = {.max_bucket_size = 0}}},
+  };
+
+  mem::AddressSpace space;
+  sim::Gpu gpu(&space, sim::V100NvLink2());
+  DenseKeyColumn r(&space, 1 << 16);
+  workload::ProbeConfig pc;
+  pc.full_size = 1 << 12;
+  pc.sample_size = 1 << 10;
+  auto s = workload::MakeProbeRelation(&space, r, pc);
+  const size_t regions = space.regions().size();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    Result<sim::RunResult> res = HashJoin::Run(gpu, r, s, c.config);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(res.status().message().find(c.field), std::string::npos)
+        << res.status().message();
+    EXPECT_EQ(space.regions().size(), regions);  // no table reserved
+  }
+}
+
+// HashJoin::Run's simulated output on three small fixed-seed configs.
+// How the table stores its keys on the host is not part of the model, so
+// a storage change must leave seconds and every counter bit-identical;
+// any other change to these values is a deliberate re-baseline.
+TEST(HashJoin, SimulatedOutputIsPinned) {
+  struct Pinned {
+    const char* name;
+    uint64_t s_full;
+    uint64_t s_sample;
+    double zipf_exponent;
+    double seconds;
+    sim::CounterSet counters;
+  };
+  const Pinned runs[] = {
+      {"uniform", 1 << 16, 1 << 12, 0, 0x1.4a3f7feeb540ap-13,
+       {.host_seq_read_bytes = 8912896u,
+        .translation_requests = 80u,
+        .tlb_hits = 34736u,
+        .hbm_read_bytes = 97845248u,
+        .hbm_write_bytes = 1054720u,
+        .l1_hits = 1498880u,
+        .l2_misses = 764464u,
+        .warp_steps = 309600u,
+        .memory_transactions = 2332976u,
+        .kernel_launches = 2u}},
+      // Duplicate chains, and the full-scale walk extrapolation over
+      // ForEachKeyCount.
+      {"zipf_1.75", 1 << 16, 1 << 12, 1.75, 0x1.07d06014cf1b2p-1,
+       {.host_seq_read_bytes = 8912896u,
+        .translation_requests = 80u,
+        .tlb_hits = 34736u,
+        .hbm_read_bytes = 265813568u,
+        .hbm_write_bytes = 1640448u,
+        .l1_hits = 1280720u,
+        .l2_misses = 905104u,
+        .warp_steps = 277440u,
+        .memory_transactions = 2255648u,
+        .kernel_launches = 2u,
+        .serial_dependent_loads = 1030417u}},
+      // |S| = sample: the table runs at its full 50% load, so linear
+      // probing takes extra steps.
+      {"full_load", 1 << 12, 1 << 12, 0, 0x1.39e2e24e90438p-13,
+       {.host_seq_read_bytes = 8421376u,
+        .translation_requests = 65u,
+        .tlb_hits = 32831u,
+        .hbm_read_bytes = 292352u,
+        .hbm_write_bytes = 65920u,
+        .l1_hits = 3613696u,
+        .l2_misses = 2287u,
+        .warp_steps = 1750298u,
+        .memory_transactions = 3681775u,
+        .kernel_launches = 2u}},
+  };
+  for (const Pinned& p : runs) {
+    SCOPED_TRACE(p.name);
+    mem::AddressSpace space;
+    sim::Gpu gpu(&space, sim::V100NvLink2());
+    DenseKeyColumn r(&space, 1 << 20);
+    workload::ProbeConfig pc;
+    pc.full_size = p.s_full;
+    pc.sample_size = p.s_sample;
+    pc.zipf_exponent = p.zipf_exponent;
+    pc.seed = 7;
+    auto s = workload::MakeProbeRelation(&space, r, pc);
+    HashJoinConfig cfg;
+    cfg.probe_sample = 1 << 14;
+    sim::RunResult res = HashJoin::Run(gpu, r, s, cfg).value();
+    EXPECT_EQ(res.seconds, p.seconds);  // bit for bit, not DOUBLE_EQ
+    EXPECT_TRUE(res.counters == p.counters)
+        << "got      " << res.counters.ToString() << "\nexpected "
+        << p.counters.ToString();
+  }
 }
 
 TEST(HashJoin, BuildIsChargedOnTheFly) {
