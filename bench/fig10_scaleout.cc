@@ -61,7 +61,7 @@ dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
     rec.AddParam("merge_seconds", result.merge_seconds);
     rec.SetRun(result.run);
     rec.AddSection("shards", dist::ShardsJson(result));
-    rec.AddSection("links", dist::LinksJson(result));
+    rec.AddSection("links", dist::LinksJson(result.links));
     sink.Add(order_key, rec.ToJsonLine());
   }
   return result;

@@ -135,7 +135,7 @@ int Main(int argc, char** argv) {
         rec.AddParam("sim_makespan", base.sim_makespan);
         rec.SetRun(base.run);
         rec.AddSection("shards", dist::ShardsJson(base));
-        rec.AddSection("links", dist::LinksJson(base));
+        rec.AddSection("links", dist::LinksJson(base.links));
         sink.Add(order++, rec.ToJsonLine());
       }
 
@@ -189,7 +189,7 @@ int Main(int argc, char** argv) {
           rec.AddParam("sim_makespan", chaos.sim_makespan);
           rec.SetRun(chaos.run);
           rec.AddSection("shards", dist::ShardsJson(chaos));
-          rec.AddSection("links", dist::LinksJson(chaos));
+          rec.AddSection("links", dist::LinksJson(chaos.links));
           rec.AddSection("robustness",
                          obs::RobustnessJson(chaos.robustness));
           sink.Add(order++, rec.ToJsonLine());

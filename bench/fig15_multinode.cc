@@ -24,6 +24,7 @@
 #include "bench/bench_common.h"
 #include "cluster/cluster_scheduler.h"
 #include "cluster/metrics.h"
+#include "dist/metrics.h"
 #include "dist/shard_scheduler.h"
 #include "obs/robustness.h"
 
@@ -300,7 +301,7 @@ int Main(int argc, char** argv) {
             rec.SetRun(cell.run.run);
             rec.AddSection("nodes", cluster::NodesJson(cell.run));
             rec.AddSection("network_links",
-                           cluster::NetworkLinksJson(cell.run));
+                           dist::LinksJson(cell.run.network));
             if (!cell.run.robustness.failovers.empty()) {
               rec.AddSection("robustness",
                              obs::RobustnessJson(cell.run.robustness));

@@ -52,26 +52,28 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
 # byte-identical to their checked-in golden tables.
 scripts/fault_smoke.sh build-release
 
+# The smokes below write their --json records into one temporary
+# directory, removed however the script exits.
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
+
 # Metrics emission smoke: a small bench run with --json must produce
 # records that pass the schema_version 1 validator.
-METRICS_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP"' EXIT
+METRICS_TMP="$SMOKE_DIR/fault.metrics.json"
 build-release/bench/ablation_fault_recovery --json "$METRICS_TMP" \
   > /dev/null
 python3 scripts/validate_metrics.py "$METRICS_TMP"
 
 # Serving-layer smoke: a short latency sweep must run end to end and emit
 # schema-valid records (histogram metric kind included).
-SERVE_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP"' EXIT
+SERVE_TMP="$SMOKE_DIR/serve.metrics.json"
 build-release/bench/serve_latency --requests 2000 --json "$SERVE_TMP" \
   > /dev/null
 python3 scripts/validate_metrics.py "$SERVE_TMP"
 
 # Sharded-engine smoke: the scale-out sweep must run end to end and its
 # per-shard/per-link sections must pass the validator.
-DIST_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP"' EXIT
+DIST_TMP="$SMOKE_DIR/dist.metrics.json"
 build-release/bench/fig10_scaleout --s_sample $((1 << 16)) \
   --json "$DIST_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$DIST_TMP"
@@ -79,8 +81,7 @@ python3 scripts/validate_metrics.py "$DIST_TMP"
 # Planner smoke: the serving layer must run under every routing mode, the
 # sharded engine under adaptive routing, and the adaptive-routing bench
 # end to end — each emitting schema-valid planner sections.
-PLAN_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP" "$PLAN_TMP"' EXIT
+PLAN_TMP="$SMOKE_DIR/plan.metrics.json"
 for mode in static adaptive oracle; do
   build-release/bench/serve_latency --requests 500 --planner "$mode" \
     --json "$PLAN_TMP" > /dev/null
@@ -96,8 +97,7 @@ python3 scripts/validate_metrics.py "$PLAN_TMP"
 # Chaos smoke: kill-a-shard-mid-run must complete with a match set
 # identical to the fault-free baseline (the bench exits nonzero on any
 # lost or duplicated match) and emit schema-valid robustness sections.
-CHAOS_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP" "$PLAN_TMP" "$CHAOS_TMP"' EXIT
+CHAOS_TMP="$SMOKE_DIR/chaos.metrics.json"
 build-release/bench/fig12_chaos --s_sample $((1 << 16)) \
   --json "$CHAOS_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$CHAOS_TMP"
@@ -109,8 +109,7 @@ python3 scripts/validate_metrics.py "$CHAOS_TMP"
 # drops across epoch swaps and reads identical to the replay oracle (the
 # bench exits nonzero on either violation) and emit schema-valid ingest
 # sections.
-HTAP_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP" "$PLAN_TMP" "$CHAOS_TMP" "$HTAP_TMP"' EXIT
+HTAP_TMP="$SMOKE_DIR/htap.metrics.json"
 build-release/bench/fig13_htap --requests 500 --s_sample $((1 << 16)) \
   --merge-threshold 1024 --json "$HTAP_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$HTAP_TMP"
@@ -119,9 +118,8 @@ python3 scripts/validate_metrics.py "$HTAP_TMP"
 # sets identical to the uncached run's (the bench exits nonzero on a
 # mismatch or a hit-free verification), emit schema-valid tenants
 # sections, and stay byte-identical across sweep thread counts.
-TENANT_TMP="$(mktemp --suffix=.metrics.json)"
-TENANT_TMP4="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP" "$PLAN_TMP" "$CHAOS_TMP" "$HTAP_TMP" "$TENANT_TMP" "$TENANT_TMP4"' EXIT
+TENANT_TMP="$SMOKE_DIR/tenant.metrics.json"
+TENANT_TMP4="$SMOKE_DIR/tenant4.metrics.json"
 build-release/bench/fig14_tenants --requests 2000 --verify-requests 500 \
   --threads 1 --json "$TENANT_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$TENANT_TMP"
@@ -134,8 +132,7 @@ diff "$TENANT_TMP" "$TENANT_TMP4"
 # cell bit-identical to dist::ShardScheduler, and the 4-node uniform
 # speedup >= 1.5x (the bench exits nonzero on any violation), emitting
 # schema-valid nodes/network_links sections.
-CLUSTER_TMP="$(mktemp --suffix=.metrics.json)"
-trap 'rm -f "$METRICS_TMP" "$SERVE_TMP" "$DIST_TMP" "$PLAN_TMP" "$CHAOS_TMP" "$HTAP_TMP" "$TENANT_TMP" "$TENANT_TMP4" "$CLUSTER_TMP"' EXIT
+CLUSTER_TMP="$SMOKE_DIR/cluster.metrics.json"
 build-release/bench/fig15_multinode --s_sample $((1 << 16)) \
   --json "$CLUSTER_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$CLUSTER_TMP"

@@ -31,18 +31,4 @@ std::string NodesJson(const ClusterRunResult& result) {
   return w.TakeString();
 }
 
-std::string NetworkLinksJson(const ClusterRunResult& result) {
-  obs::JsonWriter w;
-  w.BeginArray();
-  for (const NetworkLinkStats& l : result.network) {
-    w.BeginObject();
-    w.Key("name").String(l.name);
-    w.Key("bytes").Uint(l.bytes);
-    w.Key("utilization").Double(l.utilization);
-    w.EndObject();
-  }
-  w.EndArray();
-  return w.TakeString();
-}
-
 }  // namespace gpujoin::cluster

@@ -7,18 +7,15 @@
 
 namespace gpujoin::cluster {
 
-// JSON section builders for cluster runs, spliced into a bench record
-// via obs::RecordBuilder::AddSection. scripts/validate_metrics.py
+// JSON section builder for cluster runs, spliced into a bench record
+// via obs::RecordBuilder::AddSection next to the network tier's
+// dist::LinksJson(result.network). scripts/validate_metrics.py
 // validates both sections (field presence, unique node ids, shard
 // counts summing to params.total_shards, utilization in [0, 1]).
 
 // The per-node breakdown as a JSON array: membership state, routing,
 // rerouting, busy time, and the node's phase timeline when observed.
 std::string NodesJson(const ClusterRunResult& result);
-
-// The network-tier traffic as a JSON array: bytes moved per link
-// (window traffic extrapolated, migrations as-is) and utilization.
-std::string NetworkLinksJson(const ClusterRunResult& result);
 
 }  // namespace gpujoin::cluster
 

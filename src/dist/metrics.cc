@@ -31,10 +31,10 @@ std::string ShardsJson(const ShardedRunResult& result) {
   return w.TakeString();
 }
 
-std::string LinksJson(const ShardedRunResult& result) {
+std::string LinksJson(const std::vector<LinkStats>& links) {
   obs::JsonWriter w;
   w.BeginArray();
-  for (const LinkStats& l : result.links) {
+  for (const LinkStats& l : links) {
     w.BeginObject();
     w.Key("name").String(l.name);
     w.Key("bytes").Uint(l.bytes);

@@ -2,6 +2,7 @@
 #define GPUJOIN_DIST_METRICS_H_
 
 #include <string>
+#include <vector>
 
 #include "dist/shard_scheduler.h"
 
@@ -15,9 +16,10 @@ namespace gpujoin::dist {
 // extrapolated counters, and the shard's phase timeline when observed.
 std::string ShardsJson(const ShardedRunResult& result);
 
-// The per-link traffic as a JSON array: extrapolated bytes moved and
-// the link's utilization over the run.
-std::string LinksJson(const ShardedRunResult& result);
+// Per-link traffic as a JSON array: bytes moved and the link's
+// utilization over the run. Emits a sharded run's device links and a
+// cluster run's network tier (cluster::NetworkLinkStats is LinkStats).
+std::string LinksJson(const std::vector<LinkStats>& links);
 
 }  // namespace gpujoin::dist
 

@@ -44,6 +44,18 @@ class LocalBackend final : public WindowBackend {
   uint64_t sample_;
 };
 
+// Single-tenant serving as a router config: one tenant in one unlimited
+// tier, drained FIFO, unkeyed and flood-free. A FIFO pop of the batch
+// size then takes everything queued, and the router's draws come from
+// the tenant seed, never the arrival RNG, so arrival times are unmoved.
+TenantConfig SingleTenantConfig() {
+  TenantConfig single;
+  single.num_tenants = 1;
+  single.tiers = {TenantTier{"default", 1.0, 0, 0}};
+  single.scheduler = TenantScheduler::kFifo;
+  return single;
+}
+
 }  // namespace
 
 Status RetryPolicy::Validate() const {
@@ -96,260 +108,38 @@ Result<ServeReport> RequestServer::Run() {
   }
   const uint64_t sample = backend->sample_size();
 
-  if (serve_config_.tenants.enabled()) return RunTenants(*backend);
-  if (cache_ != nullptr) {
+  const bool ingesting = ingest_ != nullptr && ingest_->active();
+  const bool tenancy = serve_config_.tenants.enabled();
+  const TenantConfig tenants =
+      tenancy ? serve_config_.tenants : SingleTenantConfig();
+  if (tenancy) {
+    // Tenant mode composes with admission control and adaptive batching
+    // but not (yet) with the retry/hedge machinery or online ingest;
+    // reject the combinations instead of silently ignoring the knobs.
+    if (retry.enabled()) {
+      return Status::InvalidArgument(
+          "tenant mode does not compose with retry.deadline_seconds / "
+          "retry.retry_cap / retry.hedge_after yet");
+    }
+    if (ingesting) {
+      return Status::InvalidArgument(
+          "tenant mode does not compose with an active ingest coordinator");
+    }
+    if (tenants.key_universe > 0 && tenants.key_universe * tpr > sample) {
+      return Status::InvalidArgument(
+          "tenants.key_universe * tuples_per_request must not exceed the "
+          "probe sample size");
+    }
+    if (cache_ != nullptr && tenants.key_universe == 0) {
+      return Status::InvalidArgument(
+          "result cache requires keyed requests (tenants.key_universe > 0)");
+    }
+  } else if (cache_ != nullptr) {
     return Status::InvalidArgument(
         "result cache requires tenant mode (tenants.num_tenants > 0)");
-  }
-  if (serve_config_.collect_matches) {
+  } else if (serve_config_.collect_matches) {
     return Status::InvalidArgument(
         "collect_matches requires tenant mode (tenants.num_tenants > 0)");
-  }
-
-  ArrivalGenerator gen(serve_config_.arrival);
-  MicroBatcher batcher(serve_config_.batch);
-
-  ServeReport report;
-  report.offered_rate = serve_config_.arrival.rate;
-
-  // Backoff jitter stream: all draws happen on this (single) event-loop
-  // thread in batch order, so a fixed seed reproduces the run at any
-  // backend thread count. Never drawn with the default policy.
-  Xoshiro256 retry_rng(SplitMix64(retry.seed));
-  if (retry.retry_cap > 0) {
-    report.robustness.retry_histogram.assign(
-        static_cast<size_t>(retry.retry_cap) + 1, 0);
-  }
-
-  // Pending request arrival times (each request carries `tpr` tuples)
-  // and dispatched-but-unfinished batches as (completion time, tuples).
-  // backlog = pending + in-flight tuples; it is what admission control
-  // bounds and what the adaptive batcher steers by.
-  std::deque<double> pending;
-  std::deque<std::pair<double, uint64_t>> in_flight;
-  uint64_t pending_tuples = 0;
-  uint64_t in_flight_tuples = 0;
-  double server_free = 0;
-  uint64_t cursor = 0;   // cyclic position in the probe sample
-  uint64_t ordinal = 0;  // window ordinal for the phase timeline
-
-  auto advance = [&](double now) {
-    while (!in_flight.empty() && in_flight.front().first <= now) {
-      in_flight_tuples -= in_flight.front().second;
-      in_flight.pop_front();
-    }
-  };
-
-  // Closes the batch of everything pending at `close_t`: services it as
-  // windows over the cyclic sample cursor, charges each request its
-  // sojourn time, and lets the batcher see the post-close backlog.
-  auto close_batch = [&](double close_t, bool by_deadline) -> Status {
-    const double start = std::max(close_t, server_free);
-
-    // Deadline budgets: a request whose budget already ran out by the
-    // time its batch would start cannot be served in time, so it is
-    // shed before dispatch (oldest arrivals first — they doom first).
-    if (retry.deadline_seconds > 0) {
-      while (!pending.empty() &&
-             pending.front() + retry.deadline_seconds < start) {
-        pending.pop_front();
-        pending_tuples -= tpr;
-        ++report.robustness.shed_deadline;
-      }
-      if (pending.empty()) {
-        batcher.ObserveBacklog(in_flight_tuples);
-        return Status();
-      }
-    }
-
-    const uint64_t n_requests = pending.size();
-    const uint64_t n_tuples = pending_tuples;
-
-    double service = 0;
-    if (ingest_ != nullptr && ingest_->active()) {
-      // Writes admitted before this batch land in the deltas now (epoch
-      // swaps completing in the gap stall the batch), and every probe
-      // pays the delta/overlay consult surcharge.
-      service += ingest_->AdvanceTo(start);
-      ingest_->RecordBatchStaleness(start);
-      service += ingest_->LookupSurchargeSeconds(n_tuples);
-    }
-    uint64_t remaining = n_tuples;
-    while (remaining > 0) {
-      const uint64_t take = std::min(remaining, sample - cursor);
-
-      // Bounded seeded-backoff retry around the slice. With the default
-      // retry_cap == 0 the first backend error stays fatal, exactly the
-      // pre-retry behaviour.
-      double slice_time = 0;
-      int attempts = 0;
-      for (;;) {
-        Result<double> slice =
-            backend->ServiceSlice(cursor, take, ordinal++);
-        if (slice.ok()) {
-          slice_time = *slice;
-          break;
-        }
-        if (attempts >= retry.retry_cap) {
-          if (retry.retry_cap == 0) return slice.status();
-          // Cap exhausted: shed this batch's requests and keep serving.
-          // A permanently-stuck backend degrades to lost requests with
-          // the backoff charged, not a wedged server.
-          report.robustness.shed_retry_exhausted += n_requests;
-          ++report.robustness.retry_histogram[static_cast<size_t>(
-              attempts)];
-          server_free = start + service;
-          report.sim_seconds = std::max(report.sim_seconds, server_free);
-          pending.clear();
-          pending_tuples = 0;
-          batcher.ObserveBacklog(in_flight_tuples);
-          return Status();
-        }
-        double wait = retry.backoff_base * std::ldexp(1.0, attempts);
-        if (retry.backoff_jitter > 0) {
-          wait *= 1.0 + retry.backoff_jitter *
-                            (2.0 * retry_rng.NextDouble() - 1.0);
-        }
-        service += wait;
-        ++attempts;
-        ++report.robustness.retries;
-      }
-
-      // Hedged re-issue: a primary attempt running past the trigger is
-      // raced against the replica plan; the faster result wins.
-      if (retry.hedge_after > 0 && slice_time > retry.hedge_after) {
-        ++report.robustness.hedges;
-        Result<double> hedge =
-            backend->ServiceHedge(cursor, take, ordinal++);
-        if (hedge.ok()) {
-          const double hedged = retry.hedge_after + *hedge;
-          if (hedged < slice_time) {
-            slice_time = hedged;
-            ++report.robustness.hedge_wins;
-          }
-        }
-      }
-      if (!report.robustness.retry_histogram.empty()) {
-        ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
-      }
-
-      service += slice_time;
-      cursor += take;
-      if (cursor == sample) cursor = 0;
-      remaining -= take;
-    }
-
-    const double end = start + service;
-    server_free = end;
-    for (double arrival : pending) {
-      report.latency.Record(end - arrival);
-      report.queue_seconds_total += start - arrival;
-      if (retry.deadline_seconds > 0 &&
-          end - arrival > retry.deadline_seconds) {
-        ++report.robustness.deadline_misses;
-      }
-    }
-    report.service_seconds_total +=
-        service * static_cast<double>(n_requests);
-    pending.clear();
-    pending_tuples = 0;
-    in_flight.emplace_back(end, n_tuples);
-    in_flight_tuples += n_tuples;
-
-    ++report.counters.batches;
-    report.counters.tuples_served += n_tuples;
-    if (by_deadline) {
-      ++report.counters.deadline_batches;
-    } else {
-      ++report.counters.size_batches;
-    }
-    report.sim_seconds = std::max(report.sim_seconds, end);
-
-    batcher.ObserveBacklog(pending_tuples + in_flight_tuples);
-    return Status();
-  };
-
-  for (uint64_t i = 0; i < serve_config_.requests; ++i) {
-    const double t = gen.Next();
-
-    // Deadlines that expire before this arrival close their batch first.
-    while (!pending.empty()) {
-      const double deadline = batcher.DeadlineFor(pending.front());
-      if (deadline >= t) break;
-      advance(deadline);
-      Status st = close_batch(deadline, /*by_deadline=*/true);
-      if (!st.ok()) return st;
-    }
-    advance(t);
-
-    if (serve_config_.max_backlog_tuples > 0 &&
-        pending_tuples + in_flight_tuples + tpr >
-            serve_config_.max_backlog_tuples) {
-      ++report.counters.requests_shed;
-      continue;
-    }
-    ++report.counters.requests_admitted;
-    pending.push_back(t);
-    pending_tuples += tpr;
-
-    if (batcher.SizeTriggered(pending_tuples)) {
-      Status st = close_batch(t, /*by_deadline=*/false);
-      if (!st.ok()) return st;
-    }
-  }
-
-  // Drain: the stream ended, so the remaining requests go out on their
-  // deadline.
-  while (!pending.empty()) {
-    const double deadline = batcher.DeadlineFor(pending.front());
-    advance(deadline);
-    Status st = close_batch(deadline, /*by_deadline=*/true);
-    if (!st.ok()) return st;
-  }
-
-  if (ingest_ != nullptr && ingest_->active()) {
-    ingest_->Finish(report.sim_seconds);
-  }
-
-  report.counters.window_grows = batcher.grows();
-  report.counters.window_shrinks = batcher.shrinks();
-  report.final_batch_tuples = batcher.batch_tuples();
-  if (report.sim_seconds > 0) {
-    report.achieved_requests_per_sec =
-        static_cast<double>(report.counters.requests_admitted) /
-        report.sim_seconds;
-    report.achieved_tuples_per_sec =
-        static_cast<double>(report.counters.tuples_served) /
-        report.sim_seconds;
-  }
-  return report;
-}
-
-Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
-  const TenantConfig& tenants = serve_config_.tenants;
-  const uint64_t tpr = serve_config_.tuples_per_request;
-  const uint64_t sample = backend.sample_size();
-
-  // Tenant mode composes with admission control and adaptive batching but
-  // not (yet) with the retry/hedge machinery or online ingest; reject the
-  // combinations instead of silently ignoring the knobs.
-  if (serve_config_.retry.enabled()) {
-    return Status::InvalidArgument(
-        "tenant mode does not compose with retry.deadline_seconds / "
-        "retry.retry_cap / retry.hedge_after yet");
-  }
-  if (ingest_ != nullptr && ingest_->active()) {
-    return Status::InvalidArgument(
-        "tenant mode does not compose with an active ingest coordinator");
-  }
-  if (tenants.key_universe > 0 && tenants.key_universe * tpr > sample) {
-    return Status::InvalidArgument(
-        "tenants.key_universe * tuples_per_request must not exceed the "
-        "probe sample size");
-  }
-  if (cache_ != nullptr && tenants.key_universe == 0) {
-    return Status::InvalidArgument(
-        "result cache requires keyed requests (tenants.key_universe > 0)");
   }
 
   Result<std::unique_ptr<TenantRouter>> router_or =
@@ -368,30 +158,52 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
 
   ServeReport report;
   report.offered_rate = serve_config_.arrival.rate;
+  std::vector<core::JoinMatch>* const collect =
+      serve_config_.collect_matches ? &report.matches : nullptr;
 
+  // Backoff jitter stream: all draws happen on this (single) event-loop
+  // thread in batch order, so a fixed seed reproduces the run at any
+  // backend thread count. Never drawn with the default policy.
+  Xoshiro256 retry_rng(SplitMix64(retry.seed));
+  if (retry.retry_cap > 0) {
+    report.robustness.retry_histogram.assign(
+        static_cast<size_t>(retry.retry_cap) + 1, 0);
+  }
+
+  // Admitted requests in arrival order, from the oldest one not yet
+  // served; request id `queue_base + i` is queue[i]. The router hands
+  // the ids out in scheduling order, and served entries leave from the
+  // front, so the front is the oldest queued arrival the deadline trigger
+  // watches and per-request state is bounded by the queue, not the run.
   struct Request {
     double arrival = 0;
     TenantRouter::Draw draw;
     bool served = false;
   };
-  std::vector<Request> requests;
-  // Queued request ids in arrival order; served entries are skipped
-  // lazily, so the front yields the oldest queued arrival for the
-  // deadline trigger.
-  std::deque<uint64_t> queued_order;
+  std::deque<Request> queue;
+  uint64_t queue_base = 0;
+  auto request = [&](uint64_t id) -> Request& {
+    return queue[id - queue_base];
+  };
   auto oldest_queued = [&]() -> const Request* {
-    while (!queued_order.empty() &&
-           requests[queued_order.front()].served) {
-      queued_order.pop_front();
+    while (!queue.empty() && queue.front().served) {
+      queue.pop_front();
+      ++queue_base;
     }
-    return queued_order.empty() ? nullptr : &requests[queued_order.front()];
+    return queue.empty() ? nullptr : &queue.front();
   };
 
+  // Dispatched-but-unfinished batches as (completion time, tuples).
+  // backlog = queued + in-flight tuples; it is what admission control
+  // bounds and what the adaptive batcher steers by.
   std::deque<std::pair<double, uint64_t>> in_flight;
   uint64_t in_flight_tuples = 0;
+  auto backlog = [&]() {
+    return router.queued_requests() * tpr + in_flight_tuples;
+  };
   double server_free = 0;
-  uint64_t cursor = 0;   // cyclic cursor, used when key_universe == 0
-  uint64_t ordinal = 0;
+  uint64_t cursor = 0;   // cyclic position in the probe sample
+  uint64_t ordinal = 0;  // window ordinal for the phase timeline
   std::vector<uint64_t> batch_ids;
   std::vector<core::JoinMatch> scratch;
 
@@ -402,79 +214,164 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
   };
 
-  // Services one request's probe slice, memoizing through the cache when
-  // attached. Adds the simulated time to *service.
-  auto serve_request = [&](const Request& req, double* service) -> Status {
-    std::vector<core::JoinMatch>* out =
-        serve_config_.collect_matches ? &report.matches : nullptr;
-    if (tenants.key_universe == 0) {
-      // Legacy cyclic slicing: the request's tuples come from wherever
-      // the cursor points, wrapping at the sample boundary.
-      uint64_t remaining = tpr;
-      while (remaining > 0) {
-        const uint64_t take = std::min(remaining, sample - cursor);
-        Result<double> slice =
-            backend.ServiceSliceCollect(cursor, take, ordinal++, out);
-        if (!slice.ok()) return slice.status();
-        *service += *slice;
-        cursor += take;
-        if (cursor == sample) cursor = 0;
-        remaining -= take;
-      }
-      return Status();
-    }
-    const uint64_t begin = req.draw.key * tpr;
-    if (cache_ != nullptr && cache_->Lookup(req.draw.key, out, service)) {
-      return Status();
-    }
-    if (cache_ != nullptr) {
-      scratch.clear();
+  // Services s[begin, begin + count) under the retry policy, adding the
+  // charged simulated time (backoff waits included) to *service. Returns
+  // false when the retry cap ran out, so the caller sheds the batch; with
+  // the default retry_cap == 0 the first backend error stays fatal,
+  // exactly the pre-retry behaviour.
+  auto run_slice = [&](uint64_t begin, uint64_t count,
+                       std::vector<core::JoinMatch>* out,
+                       double* service) -> Result<bool> {
+    double slice_time = 0;
+    int attempts = 0;
+    for (;;) {
       Result<double> slice =
-          backend.ServiceSliceCollect(begin, tpr, ordinal++, &scratch);
-      if (!slice.ok()) return slice.status();
-      *service += *slice;
-      if (out != nullptr) {
-        out->insert(out->end(), scratch.begin(), scratch.end());
+          backend->ServiceSliceCollect(begin, count, ordinal++, out);
+      if (slice.ok()) {
+        slice_time = *slice;
+        break;
       }
-      cache_->Insert(req.draw.key, scratch, service);
-      return Status();
+      if (attempts >= retry.retry_cap) {
+        if (retry.retry_cap == 0) return slice.status();
+        ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
+        return false;
+      }
+      double wait = retry.backoff_base * std::ldexp(1.0, attempts);
+      if (retry.backoff_jitter > 0) {
+        wait *= 1.0 + retry.backoff_jitter *
+                          (2.0 * retry_rng.NextDouble() - 1.0);
+      }
+      *service += wait;
+      ++attempts;
+      ++report.robustness.retries;
     }
-    Result<double> slice =
-        backend.ServiceSliceCollect(begin, tpr, ordinal++, out);
-    if (!slice.ok()) return slice.status();
-    *service += *slice;
-    return Status();
+
+    // Hedged re-issue: a primary attempt running past the trigger is
+    // raced against the replica plan; the faster result wins.
+    if (retry.hedge_after > 0 && slice_time > retry.hedge_after) {
+      ++report.robustness.hedges;
+      Result<double> hedge = backend->ServiceHedge(begin, count, ordinal++);
+      if (hedge.ok()) {
+        const double hedged = retry.hedge_after + *hedge;
+        if (hedged < slice_time) {
+          slice_time = hedged;
+          ++report.robustness.hedge_wins;
+        }
+      }
+    }
+    if (!report.robustness.retry_histogram.empty()) {
+      ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
+    }
+    *service += slice_time;
+    return true;
   };
 
-  // Closes one batch at `close_t`: the scheduler picks up to the current
-  // adaptive batch size from the queues (FIFO or deficit-weighted fair),
-  // the batch is serviced request by request, and each request's sojourn
-  // lands in its tier's histogram.
+  // Services `count` tuples from wherever the cyclic cursor points, one
+  // slice per stretch up to the sample boundary.
+  auto run_cyclic = [&](uint64_t count, double* service) -> Result<bool> {
+    while (count > 0) {
+      const uint64_t take = std::min(count, sample - cursor);
+      Result<bool> served = run_slice(cursor, take, collect, service);
+      if (!served.ok() || !*served) return served;
+      cursor += take;
+      if (cursor == sample) cursor = 0;
+      count -= take;
+    }
+    return true;
+  };
+
+  // Services the slice a keyed request selects, memoizing its matches
+  // through the cache when one is attached.
+  auto run_keyed = [&](uint64_t key, double* service) -> Result<bool> {
+    const uint64_t begin = key * tpr;
+    if (cache_ == nullptr) return run_slice(begin, tpr, collect, service);
+    if (cache_->Lookup(key, collect, service)) return true;
+    scratch.clear();
+    Result<bool> served = run_slice(begin, tpr, &scratch, service);
+    if (!served.ok() || !*served) return served;
+    if (collect != nullptr) {
+      collect->insert(collect->end(), scratch.begin(), scratch.end());
+    }
+    cache_->Insert(key, scratch, service);
+    return true;
+  };
+
+  // Closes one batch at `close_t`: the router pops up to the current
+  // adaptive batch size in scheduling order (single-tenant serving pops
+  // everything queued), the batch is serviced, and each request's
+  // sojourn is charged.
   auto close_batch = [&](double close_t, bool by_deadline) -> Status {
     batch_ids.clear();
     router.PopBatch(batcher.batch_tuples(), &batch_ids);
-    if (batch_ids.empty()) return Status();
+    for (uint64_t id : batch_ids) request(id).served = true;
     const double start = std::max(close_t, server_free);
 
+    // Deadline budgets: a request whose budget already ran out by the
+    // time its batch would start cannot be served in time, so it is shed
+    // before dispatch.
+    if (retry.deadline_seconds > 0) {
+      const auto doomed =
+          std::remove_if(batch_ids.begin(), batch_ids.end(), [&](uint64_t id) {
+            return request(id).arrival + retry.deadline_seconds < start;
+          });
+      report.robustness.shed_deadline +=
+          static_cast<uint64_t>(batch_ids.end() - doomed);
+      batch_ids.erase(doomed, batch_ids.end());
+      if (batch_ids.empty()) {
+        batcher.ObserveBacklog(backlog());
+        return Status();
+      }
+    }
+
+    const uint64_t n_requests = batch_ids.size();
+    const uint64_t n_tuples = n_requests * tpr;
+
     double service = 0;
-    for (uint64_t id : batch_ids) {
-      requests[id].served = true;
-      if (Status st = serve_request(requests[id], &service); !st.ok()) {
-        return st;
+    if (ingesting) {
+      // Writes admitted before this batch land in the deltas now (epoch
+      // swaps completing in the gap stall the batch), and every probe
+      // pays the delta/overlay consult surcharge.
+      service += ingest_->AdvanceTo(start);
+      ingest_->RecordBatchStaleness(start);
+      service += ingest_->LookupSurchargeSeconds(n_tuples);
+    }
+    // Unkeyed requests slice the cyclic cursor. Without tenancy the whole
+    // batch is one window, as the paper's tumbling windows are; with it
+    // each request is its own window, which is what fig14_tenants
+    // calibrates capacity on.
+    const uint64_t per_window = tenancy ? 1 : n_requests;
+    for (uint64_t i = 0; i < n_requests; i += per_window) {
+      Result<bool> served =
+          tenants.key_universe > 0
+              ? run_keyed(request(batch_ids[i]).draw.key, &service)
+              : run_cyclic(per_window * tpr, &service);
+      if (!served.ok()) return served.status();
+      if (!*served) {
+        // Cap exhausted: shed this batch's requests and keep serving. A
+        // permanently-stuck backend degrades to lost requests with the
+        // backoff charged, not a wedged server.
+        report.robustness.shed_retry_exhausted += n_requests;
+        server_free = start + service;
+        report.sim_seconds = std::max(report.sim_seconds, server_free);
+        batcher.ObserveBacklog(backlog());
+        return Status();
       }
     }
 
     const double end = start + service;
     server_free = end;
-    const uint64_t n_tuples = batch_ids.size() * tpr;
     for (uint64_t id : batch_ids) {
-      const Request& req = requests[id];
+      const Request& req = request(id);
       report.latency.Record(end - req.arrival);
       report.queue_seconds_total += start - req.arrival;
+      if (retry.deadline_seconds > 0 &&
+          end - req.arrival > retry.deadline_seconds) {
+        ++report.robustness.deadline_misses;
+      }
       router.CountServed(req.draw, end - req.arrival);
     }
     report.service_seconds_total +=
-        service * static_cast<double>(batch_ids.size());
+        service * static_cast<double>(n_requests);
     in_flight.emplace_back(end, n_tuples);
     in_flight_tuples += n_tuples;
 
@@ -487,8 +384,7 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
     report.sim_seconds = std::max(report.sim_seconds, end);
 
-    batcher.ObserveBacklog(router.queued_requests() * tpr +
-                           in_flight_tuples);
+    batcher.ObserveBacklog(backlog());
     return Status();
   };
 
@@ -508,24 +404,23 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
     advance(t);
 
-    TenantRouter::Draw draw = router.NextArrival();
+    const TenantRouter::Draw draw = router.NextArrival();
     router.CountArrival(draw);
-    if (!router.Admit(draw, t, tpr)) {
-      ++report.counters.requests_shed;
-      continue;
-    }
+    // The backlog bound is checked before the token bucket, so a request
+    // the server refuses anyway does not spend its tenant's tokens.
     if (serve_config_.max_backlog_tuples > 0 &&
-        router.queued_requests() * tpr + in_flight_tuples + tpr >
-            serve_config_.max_backlog_tuples) {
+        backlog() + tpr > serve_config_.max_backlog_tuples) {
       ++report.counters.requests_shed;
       router.CountBacklogShed(draw);
       continue;
     }
+    if (!router.Admit(draw, t, tpr)) {
+      ++report.counters.requests_shed;
+      continue;
+    }
     ++report.counters.requests_admitted;
-    const uint64_t id = requests.size();
-    requests.push_back(Request{t, draw, false});
-    queued_order.push_back(id);
-    router.Enqueue(draw, id);
+    router.Enqueue(draw, queue_base + queue.size());
+    queue.push_back(Request{t, draw, false});
 
     if (batcher.SizeTriggered(router.queued_requests() * tpr)) {
       if (Status st = close_batch(t, /*by_deadline=*/false); !st.ok()) {
@@ -534,8 +429,8 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
     }
   }
 
-  // Drain: remaining queued requests go out on their deadlines, in
-  // scheduling order, one bounded batch at a time.
+  // Drain: the stream ended, so the remaining requests go out on their
+  // deadlines, in scheduling order, one bounded batch at a time.
   for (const Request* oldest = oldest_queued(); oldest != nullptr;
        oldest = oldest_queued()) {
     const double deadline = batcher.DeadlineFor(oldest->arrival);
@@ -544,6 +439,8 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
       return st;
     }
   }
+
+  if (ingesting) ingest_->Finish(report.sim_seconds);
 
   report.counters.window_grows = batcher.grows();
   report.counters.window_shrinks = batcher.shrinks();
@@ -556,8 +453,10 @@ Result<ServeReport> RequestServer::RunTenants(WindowBackend& backend) {
         static_cast<double>(report.counters.tuples_served) /
         report.sim_seconds;
   }
-  router.FillStats(&report.tenants);
-  if (cache_ != nullptr) report.tenants.cache = cache_->FinalStats();
+  if (tenancy) {
+    router.FillStats(&report.tenants);
+    if (cache_ != nullptr) report.tenants.cache = cache_->FinalStats();
+  }
   return report;
 }
 

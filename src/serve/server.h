@@ -113,8 +113,9 @@ struct ServeConfig {
   // backlog (pending + in-flight tuples) past this. 0 disables shedding.
   uint64_t max_backlog_tuples = (uint64_t{256} << 20) / 8;  // 256 MiB
   RetryPolicy retry;
-  // Multi-tenant mode (default off: num_tenants == 0 keeps the original
-  // single-tenant event loop and its bit-identical output). See
+  // Multi-tenant mode (default off). num_tenants == 0 serves as one
+  // unlimited FIFO tenant whose batches each run as a single window,
+  // bit-identical to the serving layer before tenancy existed. See
   // serve/tenant.h.
   TenantConfig tenants;
   // Collects every served request's join matches into
@@ -167,12 +168,19 @@ struct ServeReport {
 
 // Streams simulated request arrivals into the windowed INLJ: an open-loop
 // arrival process feeds a micro-batcher (size-or-deadline close, see
-// BatchPolicy), each closed batch runs as one window through
-// core::WindowJoiner over a cyclic cursor on the probe sample, and every
-// request's sojourn time lands in a log-bucketed histogram. A single
-// serving "GPU" drains batches in close order; admission control sheds
-// requests once the backlog bound is hit, so overload degrades to lost
-// requests instead of unbounded latency.
+// BatchPolicy), and every request's sojourn time lands in a log-bucketed
+// histogram. A single serving "GPU" drains batches in close order;
+// admission control sheds requests once the backlog bound is hit, so
+// overload degrades to lost requests instead of unbounded latency.
+//
+// One event loop serves both modes. Every arrival goes through a
+// TenantRouter (token buckets, then FIFO or deficit-weighted-fair
+// queues); without tenancy that router holds one unlimited FIFO tenant,
+// so each batch takes everything queued and runs as one window through
+// core::WindowJoiner over a cyclic cursor on the probe sample. With
+// tenancy each request is its own window: the slice its key selects
+// (memoized by an attached ResultCache), or the next stretch of the
+// cursor when unkeyed.
 //
 // Everything runs on the simulated clock (arrival gaps + cost-model
 // window times); a fixed config and seed reproduce the run bit for bit.
@@ -215,11 +223,6 @@ class RequestServer {
   Result<ServeReport> Run();
 
  private:
-  // The multi-tenant event loop: token-bucket admission, per-tenant
-  // queues drained FIFO or deficit-weighted-fair, keyed per-request
-  // service with optional memoization.
-  Result<ServeReport> RunTenants(WindowBackend& backend);
-
   WindowBackend* backend_ = nullptr;  // null: build a local WindowJoiner
   IngestCoordinator* ingest_ = nullptr;
   ResultCache* cache_ = nullptr;

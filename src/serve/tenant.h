@@ -44,8 +44,9 @@ enum class TenantScheduler : uint8_t {
   kDeficitWeightedFair,
 };
 
-// Multi-tenant serving knobs. Default num_tenants == 0 keeps the server
-// in its original single-tenant mode with bit-identical output.
+// Multi-tenant serving knobs. Default num_tenants == 0 serves everything
+// as one unlimited FIFO tenant, bit-identical to the server before
+// tenancy existed.
 struct TenantConfig {
   // Number of tenants; 0 disables tenant mode entirely.
   uint64_t num_tenants = 0;
@@ -123,7 +124,6 @@ class TenantRouter {
   // (at least one request), even if its tuples exceed the budget.
   void PopBatch(uint64_t budget_tuples, std::vector<uint64_t>* out);
 
-  bool queue_empty() const { return queued_requests_ == 0; }
   uint64_t queued_requests() const { return queued_requests_; }
 
   // Per-tier accounting (indexes parallel config.tiers).
@@ -134,7 +134,6 @@ class TenantRouter {
   // Fills scheduler/tiers/tenant fields of *stats (not the cache section).
   void FillStats(obs::TenantStats* stats) const;
 
-  const TenantConfig& config() const { return config_; }
   uint32_t TierOf(uint64_t tenant) const {
     return static_cast<uint32_t>(tenant % config_.tiers.size());
   }
@@ -147,7 +146,6 @@ class TenantRouter {
 
   struct TenantQueue {
     std::deque<uint64_t> requests;  // request ids, arrival order
-    std::deque<uint64_t> tuples;    // parallel: tuples of each request
     double deficit = 0;
     bool active = false;  // present in active_ round-robin ring
   };
@@ -166,7 +164,6 @@ class TenantRouter {
   std::vector<TenantQueue> queues_;    // per tenant (fair mode)
   std::deque<uint32_t> active_;        // round-robin ring of active tenants
   std::deque<uint64_t> fifo_;          // global queue (fifo mode)
-  std::deque<uint64_t> fifo_tuples_;
   uint64_t queued_requests_ = 0;
 
   std::vector<obs::TenantTierStats> tier_stats_;

@@ -387,6 +387,27 @@ TEST(IngestCoordinatorTest, MergeSwapDeterministicAcrossThreads) {
   EXPECT_EQ(s1.overlay_entries, s4.overlay_entries);
   EXPECT_EQ(s1.staleness.count(), s4.staleness.count());
   EXPECT_EQ(s1.staleness.sum(), s4.staleness.sum());
+
+  // The run is also pinned, bit for bit: how the serving loop is laid
+  // out on the host is not part of the model, so a restructuring must
+  // leave it identical; any other change is a deliberate re-baseline.
+  EXPECT_EQ(r1.sim_seconds, 0x1.02dc9dfc9a287p-7);
+  EXPECT_EQ(s1.ops_applied, 4010u);
+  EXPECT_EQ(s1.inserts, 1990u);
+  EXPECT_EQ(s1.updates, 1175u);
+  EXPECT_EQ(s1.deletes, 845u);
+  EXPECT_EQ(s1.ops_shed, 0u);
+  EXPECT_EQ(s1.merges, 14u);
+  EXPECT_EQ(s1.merges_started, 14u);
+  EXPECT_EQ(s1.swap_stalls, 14u);
+  EXPECT_EQ(s1.epochs, 11u);
+  EXPECT_EQ(s1.merge_seconds, 0x1.3a256c02c62f3p-17);
+  EXPECT_EQ(s1.swap_stall_seconds, 0x1.6f0068db8bac9p-12);
+  EXPECT_EQ(s1.delta_entries, 426u);
+  EXPECT_EQ(s1.delta_bytes_peak, 1048576u);
+  EXPECT_EQ(s1.overlay_entries, 3584u);
+  EXPECT_EQ(s1.staleness.count(), 75u);
+  EXPECT_EQ(s1.staleness.sum(), 0x1.29e9657a9751ap-4);
 }
 
 // The path that used to CHECK-abort: a full delta with a slow merge in

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/window_join.h"
 #include "obs/histogram.h"
+#include "obs/robustness.h"
 #include "serve/arrival.h"
 #include "serve/batcher.h"
 #include "serve/server.h"
@@ -613,6 +615,134 @@ TEST(RetryPolicy, InvalidKnobsAreNamedInTheError) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.names;
     EXPECT_NE(r.status().ToString().find(c.names), std::string::npos)
         << r.status().ToString();
+  }
+}
+
+// --------------------------------------------------------------------
+// Pinned simulated output
+
+// The simulated fields of one serving run. How the event loop is laid
+// out on the host is not part of the model, so a restructuring must
+// leave every field bit-identical; any other change is a deliberate
+// re-baseline.
+struct PinnedServe {
+  const char* name;
+  double sim_seconds;
+  double latency_sum;
+  double latency_max;
+  double queue_seconds_total;
+  double service_seconds_total;
+  uint64_t latency_count;
+  ServeCounters counters;
+  uint64_t final_batch_tuples;
+  struct {
+    uint64_t retries = 0;
+    uint64_t hedges = 0;
+    uint64_t hedge_wins = 0;
+    uint64_t deadline_misses = 0;
+    uint64_t shed_deadline = 0;
+    uint64_t shed_retry_exhausted = 0;
+    std::vector<uint64_t> retry_histogram = {};
+  } robustness;
+};
+
+void ExpectPinned(const ServeReport& r, const PinnedServe& p) {
+  SCOPED_TRACE(p.name);
+  // Bit for bit, not DOUBLE_EQ.
+  EXPECT_EQ(r.sim_seconds, p.sim_seconds);
+  EXPECT_EQ(r.latency.sum(), p.latency_sum);
+  EXPECT_EQ(r.latency.max(), p.latency_max);
+  EXPECT_EQ(r.queue_seconds_total, p.queue_seconds_total);
+  EXPECT_EQ(r.service_seconds_total, p.service_seconds_total);
+  EXPECT_EQ(r.latency.count(), p.latency_count);
+  const ServeCounters& c = r.counters;
+  EXPECT_EQ(c.requests_admitted, p.counters.requests_admitted);
+  EXPECT_EQ(c.requests_shed, p.counters.requests_shed);
+  EXPECT_EQ(c.batches, p.counters.batches);
+  EXPECT_EQ(c.tuples_served, p.counters.tuples_served);
+  EXPECT_EQ(c.deadline_batches, p.counters.deadline_batches);
+  EXPECT_EQ(c.size_batches, p.counters.size_batches);
+  EXPECT_EQ(c.window_grows, p.counters.window_grows);
+  EXPECT_EQ(c.window_shrinks, p.counters.window_shrinks);
+  EXPECT_EQ(r.final_batch_tuples, p.final_batch_tuples);
+  const obs::RobustnessStats& b = r.robustness;
+  EXPECT_EQ(b.retries, p.robustness.retries);
+  EXPECT_EQ(b.hedges, p.robustness.hedges);
+  EXPECT_EQ(b.hedge_wins, p.robustness.hedge_wins);
+  EXPECT_EQ(b.deadline_misses, p.robustness.deadline_misses);
+  EXPECT_EQ(b.shed_deadline, p.robustness.shed_deadline);
+  EXPECT_EQ(b.shed_retry_exhausted, p.robustness.shed_retry_exhausted);
+  EXPECT_EQ(b.retry_histogram, p.robustness.retry_histogram);
+}
+
+TEST(RequestServer, SimulatedOutputIsPinned) {
+  {
+    // The real windowed INLJ under Poisson arrivals near the minimum
+    // batch's capacity: both triggers close batches, the adaptive
+    // batcher grows and shrinks, and the backlog bound sheds a few.
+    auto exp = core::Experiment::Create(ServeExperimentConfig());
+    ASSERT_TRUE(exp.ok());
+    (*exp)->ResetForRun();
+    ServeConfig sc;
+    sc.arrival.rate = 54000;
+    sc.requests = 1500;
+    sc.tuples_per_request = 1024;
+    sc.batch.batch_tuples = sc.batch.min_batch_tuples = 1 << 12;
+    sc.batch.max_batch_tuples = 1 << 15;
+    sc.batch.deadline_seconds = 7.5e-5;  // about one 4096-tuple window
+    sc.max_backlog_tuples = 1 << 14;
+    RequestServer server((*exp)->gpu(), (*exp)->index(), (*exp)->s(),
+                         ServeExperimentConfig().inlj, sc);
+    ExpectPinned(server.Run().value(),
+                 {"local_poisson_adaptive", 0x1.c9fff91084094p-6,
+                  0x1.9c93a12c1447ep-3, 0x1.231bb61db7988p-12,
+                  0x1.54a83e41fe057p-4, 0x1.e47f04162a88fp-4, 1488,
+                  {.requests_admitted = 1488,
+                   .requests_shed = 12,
+                   .batches = 316,
+                   .tuples_served = 1523712,
+                   .deadline_batches = 261,
+                   .size_batches = 55,
+                   .window_grows = 4,
+                   .window_shrinks = 3},
+                  8192,
+                  {}});
+  }
+  {
+    // Every retry path at once: a queue deep enough to shed requests on
+    // their budget and to miss it, one batch that exhausts the retry cap,
+    // one that succeeds after a jittered backoff, and a replica fast
+    // enough that every hedge wins.
+    ServeConfig sc = RetryServeConfig();
+    sc.batch.batch_tuples = sc.batch.min_batch_tuples =
+        4 * sc.tuples_per_request;
+    sc.batch.deadline_seconds = 5e-4;
+    sc.retry.deadline_seconds = 2e-3;
+    sc.retry.retry_cap = 2;
+    sc.retry.backoff_jitter = 0.5;
+    sc.retry.hedge_after = 1e-4;
+    FlakyBackend backend(1e-3, /*fail_first=*/4, /*hedge_seconds=*/5e-4);
+    RequestServer server(backend, sc);
+    ExpectPinned(server.Run().value(),
+                 {"flaky_retry_hedge_deadline", 0x1.1a1ec61163925p-7,
+                  0x1.5b9848a83b374p-4, 0x1.48f10f42b048ep-9,
+                  0x1.caf1d85a8451cp-5, 0x1.d87d71ebe4399p-6, 48,
+                  {.requests_admitted = 64,
+                   .requests_shed = 0,
+                   .batches = 13,
+                   .tuples_served = 24576,
+                   .deadline_batches = 0,
+                   .size_batches = 13,
+                   .window_grows = 0,
+                   .window_shrinks = 0},
+                  2048,
+                  {.retries = 3,
+                   .hedges = 13,
+                   .hedge_wins = 13,
+                   .deadline_misses = 22,
+                   .shed_deadline = 12,
+                   .shed_retry_exhausted = 4,
+                   .retry_histogram = {12, 1, 1}}});
   }
 }
 
