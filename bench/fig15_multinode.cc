@@ -196,7 +196,7 @@ int Main(int argc, char** argv) {
             std::fprintf(stderr,
                          "FAIL: 1-node cluster (%s, zipf %.2f) is not "
                          "bit-identical to dist (%.9g s vs %.9g s)\n",
-                         cluster::NetworkKindName(network), zipf,
+                         dist::TopologyKindName(network), zipf,
                          base.run.run.seconds, dist_run.run.seconds);
           }
         }
@@ -266,7 +266,7 @@ int Main(int argc, char** argv) {
                          "FAIL: scenario '%s' (%s, %d nodes, zipf %.2f) "
                          "lost %llu / duplicated %llu matches\n",
                          sc.name.c_str(),
-                         cluster::NetworkKindName(network), nodes, zipf,
+                         dist::TopologyKindName(network), nodes, zipf,
                          static_cast<unsigned long long>(lost),
                          static_cast<unsigned long long>(extra));
           }
@@ -284,7 +284,7 @@ int Main(int argc, char** argv) {
             obs::RecordBuilder rec = StartRecord("fig15_multinode", cfg);
             rec.AddParam("scenario", sc.name);
             rec.AddParam("network",
-                         cluster::NetworkKindName(network));
+                         dist::TopologyKindName(network));
             rec.AddParam("num_nodes", nodes);
             rec.AddParam("gpus_per_node", gpus);
             rec.AddParam("total_shards", TotalShards(cell.run));
@@ -310,7 +310,7 @@ int Main(int argc, char** argv) {
           }
 
           table.AddRow(
-              {cluster::NetworkKindName(network), std::to_string(nodes),
+              {dist::TopologyKindName(network), std::to_string(nodes),
                TablePrinter::Num(zipf, 2), sc.name,
                TablePrinter::Num(cell.run.run.qps(), 3),
                vs_one > 0 ? TablePrinter::Num(vs_one, 2) + "x" : "-",

@@ -57,6 +57,18 @@ scripts/fault_smoke.sh build-release
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
+# Runs a smoke command at --threads 1 and --threads 4: the first run's
+# records must pass the validator and the second's must match them byte
+# for byte (sharded results may not depend on the thread count).
+smoke_across_threads() {
+  local name="$1"
+  shift
+  "$@" --threads 1 --json "$SMOKE_DIR/$name.1.json" > /dev/null
+  python3 scripts/validate_metrics.py "$SMOKE_DIR/$name.1.json"
+  "$@" --threads 4 --json "$SMOKE_DIR/$name.4.json" > /dev/null
+  diff "$SMOKE_DIR/$name.1.json" "$SMOKE_DIR/$name.4.json"
+}
+
 # Metrics emission smoke: a small bench run with --json must produce
 # records that pass the schema_version 1 validator.
 METRICS_TMP="$SMOKE_DIR/fault.metrics.json"
@@ -73,10 +85,8 @@ python3 scripts/validate_metrics.py "$SERVE_TMP"
 
 # Sharded-engine smoke: the scale-out sweep must run end to end and its
 # per-shard/per-link sections must pass the validator.
-DIST_TMP="$SMOKE_DIR/dist.metrics.json"
-build-release/bench/fig10_scaleout --s_sample $((1 << 16)) \
-  --json "$DIST_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$DIST_TMP"
+smoke_across_threads dist build-release/bench/fig10_scaleout \
+  --s_sample $((1 << 16))
 
 # Planner smoke: the serving layer must run under every routing mode, the
 # sharded engine under adaptive routing, and the adaptive-routing bench
@@ -97,10 +107,9 @@ python3 scripts/validate_metrics.py "$PLAN_TMP"
 # Chaos smoke: kill-a-shard-mid-run must complete with a match set
 # identical to the fault-free baseline (the bench exits nonzero on any
 # lost or duplicated match) and emit schema-valid robustness sections.
+smoke_across_threads chaos build-release/bench/fig12_chaos \
+  --s_sample $((1 << 16))
 CHAOS_TMP="$SMOKE_DIR/chaos.metrics.json"
-build-release/bench/fig12_chaos --s_sample $((1 << 16)) \
-  --json "$CHAOS_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$CHAOS_TMP"
 build-release/bench/serve_latency --requests 500 --retry-cap 3 \
   --request-deadline-ms 5 --hedge-after 1 --json "$CHAOS_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$CHAOS_TMP"
@@ -109,33 +118,23 @@ python3 scripts/validate_metrics.py "$CHAOS_TMP"
 # drops across epoch swaps and reads identical to the replay oracle (the
 # bench exits nonzero on either violation) and emit schema-valid ingest
 # sections.
-HTAP_TMP="$SMOKE_DIR/htap.metrics.json"
-build-release/bench/fig13_htap --requests 500 --s_sample $((1 << 16)) \
-  --merge-threshold 1024 --json "$HTAP_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$HTAP_TMP"
+smoke_across_threads htap build-release/bench/fig13_htap --requests 500 \
+  --s_sample $((1 << 16)) --merge-threshold 1024
 
 # Multi-tenant smoke: the tenant grid must complete with cached match
 # sets identical to the uncached run's (the bench exits nonzero on a
 # mismatch or a hit-free verification), emit schema-valid tenants
 # sections, and stay byte-identical across sweep thread counts.
-TENANT_TMP="$SMOKE_DIR/tenant.metrics.json"
-TENANT_TMP4="$SMOKE_DIR/tenant4.metrics.json"
-build-release/bench/fig14_tenants --requests 2000 --verify-requests 500 \
-  --threads 1 --json "$TENANT_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$TENANT_TMP"
-build-release/bench/fig14_tenants --requests 2000 --verify-requests 500 \
-  --threads 4 --json "$TENANT_TMP4" > /dev/null
-diff "$TENANT_TMP" "$TENANT_TMP4"
+smoke_across_threads tenant build-release/bench/fig14_tenants \
+  --requests 2000 --verify-requests 500
 
 # Multi-node smoke: the cluster sweep must complete with every
 # scenario's match set identical to its fault-free baseline, the 1-node
 # cell bit-identical to dist::ShardScheduler, and the 4-node uniform
 # speedup >= 1.5x (the bench exits nonzero on any violation), emitting
 # schema-valid nodes/network_links sections.
-CLUSTER_TMP="$SMOKE_DIR/cluster.metrics.json"
-build-release/bench/fig15_multinode --s_sample $((1 << 16)) \
-  --json "$CLUSTER_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$CLUSTER_TMP"
+smoke_across_threads cluster build-release/bench/fig15_multinode \
+  --s_sample $((1 << 16))
 
 for san in "${SANITIZERS[@]}"; do
   # RelWithDebInfo keeps the sanitizer runs fast enough for the full

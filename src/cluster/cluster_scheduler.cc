@@ -50,6 +50,18 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
   if (ccfg.gpus_per_node < 1) {
     return Status::InvalidArgument("gpus_per_node must be >= 1");
   }
+  if (!dist::IsNetwork(ccfg.network)) {
+    return Status::InvalidArgument(
+        std::string("network must be a network preset (infiniband | "
+                    "ethernet), got ") +
+        dist::TopologyKindName(ccfg.network));
+  }
+  if (dist::IsNetwork(ccfg.node_topology)) {
+    return Status::InvalidArgument(
+        std::string("node_topology must be an in-node fabric (nvlink2 | "
+                    "pcie4 | nvswitch), got ") +
+        dist::TopologyKindName(ccfg.node_topology));
+  }
   if (ccfg.num_nodes > 1 &&
       cfg.sample_scheme ==
           core::ExperimentConfig::SampleSchemeOverride::kRangeRestricted) {
@@ -89,8 +101,8 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
   Status fst = ccfg.failover.node_faults.Validate(ccfg.num_nodes + adds);
   if (!fst.ok()) return fst;
 
-  Result<ClusterTopology> topo = ClusterTopology::Create(
-      ccfg.network, ccfg.num_nodes, ccfg.node_topology, ccfg.gpus_per_node);
+  Result<dist::Topology> topo =
+      dist::Topology::Create(ccfg.network, ccfg.num_nodes);
   if (!topo.ok()) return topo.status();
   std::unique_ptr<ClusterScheduler> engine(
       new ClusterScheduler(cfg, ccfg, *std::move(topo)));
@@ -114,7 +126,8 @@ Status ClusterScheduler::Build() {
                                                     cfg_.r_tuples);
   }
 
-  Result<NodePlan> plan = NodePlanner::Plan(*r_, ccfg_.num_nodes);
+  Result<dist::ShardPlan> plan =
+      dist::ShardPlanner::Plan(*r_, ccfg_.num_nodes);
   if (!plan.ok()) return plan.status();
   plan_ = *std::move(plan);
 
@@ -137,8 +150,8 @@ Status ClusterScheduler::Build() {
       // the second level of the two-level plan. With one node the
       // engine stays unrestricted, which is what makes delegation
       // bit-identical to dist.
-      dcfg.r_begin = plan_.node_r_begin(n);
-      dcfg.r_end = plan_.node_r_end(n);
+      dcfg.r_begin = plan_.pos_begin[n];
+      dcfg.r_end = plan_.pos_begin[n + 1];
     }
     Result<std::unique_ptr<dist::ShardScheduler>> engine =
         dist::ShardScheduler::Create(cfg_, dcfg);
@@ -190,9 +203,8 @@ Status ClusterScheduler::ResetForRun() {
   // configured membership so repeated runs replay the same schedule.
   if (num_nodes() > ccfg_.num_nodes) {
     nodes_.resize(static_cast<size_t>(ccfg_.num_nodes));
-    Result<ClusterTopology> topo = ClusterTopology::Create(
-        ccfg_.network, ccfg_.num_nodes, ccfg_.node_topology,
-        ccfg_.gpus_per_node);
+    Result<dist::Topology> topo =
+        dist::Topology::Create(ccfg_.network, ccfg_.num_nodes);
     if (!topo.ok()) return topo.status();
     topo_ = *std::move(topo);
   }
@@ -208,7 +220,7 @@ Status ClusterScheduler::ResetForRun() {
       if (!st.ok()) return st;
     }
   }
-  charge_of_cell_ = plan_.base.owner_of_cell;
+  charge_of_cell_ = plan_.owner_of_cell;
   cell_migrated_.assign(plan_.cells(), 0);
   membership_next_ = 0;
   clock_ = 0;
@@ -255,23 +267,6 @@ std::vector<int> ClusterScheduler::ChargeTargets() const {
   return targets;
 }
 
-double ClusterScheduler::NetCharge(int from, int to, uint64_t bytes,
-                                   int active,
-                                   std::vector<uint64_t>* ledger) {
-  if (from == to || bytes == 0) return 0;
-  double seconds = topo_.NodeSeconds(from, to, bytes);
-  for (int l : topo_.NodePathLinks(from, to)) {
-    (*ledger)[static_cast<size_t>(l)] += bytes;
-    const int sharers = topo_.Sharers(l, active);
-    if (sharers > 1) {
-      seconds += (sharers - 1) * (static_cast<double>(bytes) /
-                                  topo_.links()[static_cast<size_t>(l)]
-                                      .seq_bandwidth);
-    }
-  }
-  return seconds;
-}
-
 void ClusterScheduler::MoveCell(uint64_t cell, int dst) {
   // Data ships from wherever the slice currently lives: its charge if
   // a previous rebalance migrated it, its origin otherwise.
@@ -279,8 +274,9 @@ void ClusterScheduler::MoveCell(uint64_t cell, int dst) {
                       ? charge_of_cell_[cell]
                       : origin_of_cell(cell);
   const uint64_t tuples = plan_.cell_r_tuples(cell);
-  migration_seconds_ += NetCharge(src, dst, tuples * kMigrateBytesPerTuple,
-                                  /*active=*/1, &event_link_bytes_);
+  migration_seconds_ +=
+      topo_.Charge(src, dst, tuples * kMigrateBytesPerTuple, /*active=*/1,
+                   &event_link_bytes_);
   moved_r_tuples_ += tuples;
   charge_of_cell_[cell] = dst;
   cell_migrated_[cell] = 1;
@@ -361,17 +357,16 @@ Status ClusterScheduler::ApplyMembership(double now) {
          ccfg_.membership[membership_next_].at_seconds <= now) {
     const MembershipEvent& ev = ccfg_.membership[membership_next_++];
     if (ev.kind == MembershipEvent::Kind::kAddNode) {
-      Result<int> id = topo_.AddNode();
-      if (!id.ok()) return id.status();
+      const int id = topo_.AddMember();
       window_link_bytes_.resize(topo_.links().size(), 0);
       event_link_bytes_.resize(topo_.links().size(), 0);
       auto node = std::make_unique<Node>();
-      node->id = *id;
+      node->id = id;
       node->origin = false;
-      node->out.node = *id;
+      node->out.node = id;
       node->out.origin = false;
       nodes_.push_back(std::move(node));
-      Status st = RebalanceOnto(*id);
+      Status st = RebalanceOnto(id);
       if (!st.ok()) return st;
     } else {
       if (ev.node >= num_nodes()) {
@@ -494,15 +489,15 @@ Result<double> ClusterScheduler::ExecuteGroups(
     if (g.fetch) t *= ccfg_.failover.recovery_penalty;
     // Probe handoff from the ingress (where the stream enters the
     // cluster) to the charge node.
-    t += NetCharge(ingress, g.charge,
-                   g.rows.size() * kHandoffBytesPerTuple, active,
-                   &window_link_bytes_);
+    t += topo_.Charge(ingress, g.charge,
+                      g.rows.size() * kHandoffBytesPerTuple, active,
+                      &window_link_bytes_);
     // Rerouted probes of an un-migrated cell read the origin's R slice
     // over the network, key out and position back.
     if (g.fetch) {
-      t += NetCharge(g.origin, g.charge,
-                     g.rows.size() * kFetchBytesPerTuple, active,
-                     &window_link_bytes_);
+      t += topo_.Charge(g.origin, g.charge,
+                        g.rows.size() * kFetchBytesPerTuple, active,
+                        &window_link_bytes_);
     }
     time[static_cast<size_t>(g.charge)] += t;
 
@@ -516,13 +511,12 @@ Result<double> ClusterScheduler::ExecuteGroups(
           .reexec_chunks += 1;
     }
     if (slice_merge_seconds != nullptr) {
-      *slice_merge_seconds +=
-          NetCharge(g.charge, ingress, res->matches * kResultBytesPerMatch,
-                    /*active=*/1, &window_link_bytes_);
+      *slice_merge_seconds += topo_.Charge(
+          g.charge, ingress, res->matches * kResultBytesPerMatch,
+          /*active=*/1, &window_link_bytes_);
     }
     if (collect != nullptr) {
-      const uint64_t off =
-          restricted ? plan_.node_r_begin(g.origin) : 0;
+      const uint64_t off = restricted ? plan_.pos_begin[g.origin] : 0;
       for (const core::JoinMatch& m : tmp) {
         collect->push_back({m.probe_row, m.position + off});
       }
@@ -555,12 +549,12 @@ double ClusterScheduler::MergeSecondsNet(
   bool shared = false;
   for (size_t n = 0; n < result_bytes.size(); ++n) {
     if (result_bytes[n] == 0 || static_cast<int>(n) == ingress) continue;
-    const double t = NetCharge(static_cast<int>(n), ingress,
-                               result_bytes[n], /*active=*/1,
-                               &event_link_bytes_);
+    const double t = topo_.Charge(static_cast<int>(n), ingress,
+                                  result_bytes[n], /*active=*/1,
+                                  &event_link_bytes_);
     sum += t;
     mx = std::max(mx, t);
-    for (int l : topo_.NodePathLinks(static_cast<int>(n), ingress)) {
+    for (int l : topo_.PeerLinks(static_cast<int>(n), ingress)) {
       if (topo_.links()[static_cast<size_t>(l)].shared) shared = true;
     }
   }
@@ -657,8 +651,8 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
   const double extrap = window_scale_ * window_factor;
 
   out.run.label =
-      "cluster_inlj_" + std::string(NetworkKindName(ccfg_.network)) + "_x" +
-      std::to_string(ccfg_.num_nodes) + "n" +
+      "cluster_inlj_" + std::string(dist::TopologyKindName(ccfg_.network)) +
+      "_x" + std::to_string(ccfg_.num_nodes) + "n" +
       std::to_string(ccfg_.gpus_per_node) + "g";
   out.run.probe_tuples = s.full_size;
   out.run.result_tuples = ScaleStat(matches_total, scale);

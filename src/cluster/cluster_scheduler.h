@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_topology.h"
-#include "cluster/node_planner.h"
 #include "core/experiment.h"
 #include "core/match.h"
+#include "dist/shard_planner.h"
 #include "dist/shard_scheduler.h"
+#include "dist/topology.h"
 #include "mem/address_space.h"
 #include "obs/robustness.h"
 #include "serve/server.h"
@@ -20,6 +20,11 @@
 #include "workload/key_column.h"
 
 namespace gpujoin::cluster {
+
+// The network tier's presets are dist's (kInfiniBand | kEthernet); the
+// cluster prices node-to-node transfers with the same dist::Topology the
+// node engines price their GPU fabrics with.
+using NetworkKind = dist::TopologyKind;
 
 // Node-level failure detection and key-range rerouting: the cluster
 // analogue of dist::FailoverPolicy, with the fault timeline keyed by
@@ -175,9 +180,6 @@ class ClusterScheduler final : public serve::WindowBackend {
   void EnableObservability();
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  int gpus_per_node() const { return ccfg_.gpus_per_node; }
-  const ClusterTopology& topology() const { return topo_; }
-  const NodePlan& plan() const { return plan_; }
   const obs::RobustnessStats& robustness() const { return robustness_; }
 
  private:
@@ -206,7 +208,7 @@ class ClusterScheduler final : public serve::WindowBackend {
   };
 
   ClusterScheduler(const core::ExperimentConfig& cfg,
-                   const ClusterConfig& ccfg, ClusterTopology topo)
+                   const ClusterConfig& ccfg, dist::Topology topo)
       : cfg_(cfg), ccfg_(ccfg), topo_(std::move(topo)) {}
 
   Status Build();
@@ -220,7 +222,7 @@ class ClusterScheduler final : public serve::WindowBackend {
   // point); -1 when none remains.
   int IngressNode() const;
   int origin_of_cell(uint64_t cell) const {
-    return plan_.base.owner_of_cell[cell];
+    return plan_.owner_of_cell[cell];
   }
 
   // Groups rows[0..count) by (origin, charge, fetch), in that order.
@@ -255,20 +257,16 @@ class ClusterScheduler final : public serve::WindowBackend {
   // Nodes currently accepting charges, in id order.
   std::vector<int> ChargeTargets() const;
 
-  // Seconds to stream `bytes` from node `from` to `to`, with shared-link
-  // contention for `active` concurrent senders (dist's
-  // "(sharers - 1) * transfer" rule), charging the path's links in
-  // `ledger`.
-  double NetCharge(int from, int to, uint64_t bytes, int active,
-                   std::vector<uint64_t>* ledger);
-
   double MergeSecondsNet(const std::vector<uint64_t>& result_bytes,
                          int ingress);
 
   core::ExperimentConfig cfg_;
   ClusterConfig ccfg_;
-  ClusterTopology topo_;
-  NodePlan plan_;
+  // The network tier: one uplink per node (plus the Ethernet backplane).
+  dist::Topology topo_;
+  // The node level of the two-level plan: dist's planner with nodes as
+  // its shards.
+  dist::ShardPlan plan_;
 
   // With one origin node, no membership events and no node faults the
   // cluster is exactly its single engine (bit-identity guarantee).

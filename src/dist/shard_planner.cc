@@ -52,23 +52,27 @@ Result<ShardPlan> ShardPlanner::Plan(const workload::KeyColumn& r,
         c * static_cast<uint64_t>(num_shards) / cells);
   }
 
+  // Per-cell R positions: one LowerBound per cell boundary, at most
+  // 2^9 for 64 shards. Every shard boundary is a cell boundary.
+  plan.cell_pos.resize(cells + 1);
+  plan.cell_pos[0] = 0;
+  for (uint64_t c = 1; c < cells; ++c) {
+    const workload::Key boundary = static_cast<workload::Key>(
+        static_cast<uint64_t>(plan.min_key) + (c << plan.shift));
+    plan.cell_pos[c] = r.LowerBound(boundary);
+  }
+  plan.cell_pos[cells] = r.size();
+
   plan.cells_begin.resize(num_shards + 1);
   plan.pos_begin.resize(num_shards + 1);
-  plan.cells_begin[0] = 0;
-  plan.pos_begin[0] = 0;
-  for (int s = 1; s < num_shards; ++s) {
+  for (int s = 0; s <= num_shards; ++s) {
     // First cell whose owner is >= s: ceil(s * cells / num_shards).
-    const uint64_t c =
+    plan.cells_begin[s] =
         (static_cast<uint64_t>(s) * cells +
          static_cast<uint64_t>(num_shards) - 1) /
         static_cast<uint64_t>(num_shards);
-    plan.cells_begin[s] = c;
-    const workload::Key boundary = static_cast<workload::Key>(
-        static_cast<uint64_t>(plan.min_key) + (c << plan.shift));
-    plan.pos_begin[s] = r.LowerBound(boundary);
+    plan.pos_begin[s] = plan.cell_pos[plan.cells_begin[s]];
   }
-  plan.cells_begin[num_shards] = cells;
-  plan.pos_begin[num_shards] = r.size();
 
   for (int s = 0; s < num_shards; ++s) {
     if (plan.pos_begin[s + 1] <= plan.pos_begin[s]) {

@@ -20,6 +20,11 @@ namespace gpujoin::dist {
 // cells are dealt to shards contiguously, `cell * num_shards >> cell_bits`
 // style, which keeps the split balanced (within one cell) for
 // non-power-of-two shard counts too.
+//
+// The same plan places nodes one level up (the cluster's "shards" are
+// nodes). Cells are also the granularity of the cluster's elastic
+// membership — a rebalance moves whole cells, and only the cells whose
+// charge actually changed — so the plan keeps every cell's R position.
 struct ShardPlan {
   int num_shards = 1;
   workload::Key min_key = 0;
@@ -27,27 +32,34 @@ struct ShardPlan {
   int cell_bits = 0;   // 2^cell_bits cells over the domain
   // Per shard, the first owned cell; cells_begin[num_shards] == 2^bits.
   std::vector<uint64_t> cells_begin;
-  // Per shard, the first owned position in R; pos_begin[num_shards] ==
-  // r.size(). Positions are what the shards' key-column slices use.
+  // Per cell, the first R position; cell_pos[cells()] == r.size().
+  std::vector<uint64_t> cell_pos;
+  // Per shard, the first owned position in R, cell_pos[cells_begin[s]];
+  // pos_begin[num_shards] == r.size(). Positions are what the shards'
+  // key-column slices use.
   std::vector<uint64_t> pos_begin;
+  // cell -> shard, materialized at plan time (2^cell_bits entries):
+  // routing is hot.
+  std::vector<int> owner_of_cell;
+
+  uint64_t cells() const { return uint64_t{1} << cell_bits; }
+
+  // Cell of a probe key (monotone in the key, clamped to the domain).
+  uint64_t CellOf(workload::Key key) const {
+    const uint64_t cell =
+        static_cast<uint64_t>(key - min_key) >> static_cast<uint64_t>(shift);
+    return cell >= cells() ? cells() - 1 : cell;
+  }
 
   // Owning shard of a probe key (monotone in the key).
-  int OwnerOf(workload::Key key) const {
-    uint64_t cell =
-        static_cast<uint64_t>(key - min_key) >> static_cast<uint64_t>(shift);
-    const uint64_t cells = uint64_t{1} << cell_bits;
-    if (cell >= cells) cell = cells - 1;
-    // cells_begin is sorted; shards are few, so a linear scan is fine
-    // for planning, but routing is hot — use the precomputed map.
-    return owner_of_cell[cell];
-  }
+  int OwnerOf(workload::Key key) const { return owner_of_cell[CellOf(key)]; }
 
   uint64_t shard_r_tuples(int shard) const {
     return pos_begin[shard + 1] - pos_begin[shard];
   }
-
-  // cell -> shard, materialized at plan time (2^cell_bits entries).
-  std::vector<int> owner_of_cell;
+  uint64_t cell_r_tuples(uint64_t cell) const {
+    return cell_pos[cell + 1] - cell_pos[cell];
+  }
 };
 
 // Splits R by leading radix bits into `num_shards` contiguous slices.

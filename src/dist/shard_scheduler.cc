@@ -41,6 +41,12 @@ Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
         "the sharded engine supports planner = static | adaptive; use "
         "the single-device plan::PlannedBackend for oracle runs");
   }
+  if (IsNetwork(dcfg.topology)) {
+    return Status::InvalidArgument(
+        std::string("topology must be an in-node fabric (nvlink2 | pcie4 | "
+                    "nvswitch), got ") +
+        TopologyKindName(dcfg.topology));
+  }
   Status fst = dcfg.failover.device_faults.Validate(dcfg.num_shards);
   if (!fst.ok()) return fst;
   if (!(dcfg.failover.heartbeat_timeout >= 0) ||
@@ -288,6 +294,9 @@ std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteSlice(
       shard.cursor = 0;
     }
     slices[i] = {shard.cursor, cnt[i]};
+    if (shard.row_map.size() < shard.cursor + cnt[i]) {
+      shard.row_map.resize(shard.cursor + cnt[i]);
+    }
   }
 
   std::vector<uint64_t> write_at(n);
@@ -295,8 +304,8 @@ std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteSlice(
   for (uint64_t i = begin; i < begin + count; ++i) {
     const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[i]);
     Shard& shard = *shards_[owner];
+    shard.row_map[write_at[owner]] = i;
     shard.s.keys[write_at[owner]++] = keys[i];
-    if (!serving) shard.row_map.push_back(i);
   }
   for (int i = 0; i < n; ++i) {
     shards_[i]->cursor = slices[i].start + cnt[i];
@@ -565,10 +574,8 @@ Result<double> ShardScheduler::ExecuteWindow(
                                    ? dcfg_.failover.recovery_penalty
                                    : dcfg_.steal.remote_penalty;
         charged_seconds[thief] +=
-            cr.seconds * penalty + topo_.PeerSeconds(v, thief, bytes);
-        for (int link : topo_.PeerLinks(v, thief)) {
-          (*host_bytes_by_link)[link] += bytes;
-        }
+            cr.seconds * penalty +
+            topo_.Charge(v, thief, bytes, /*active=*/1, host_bytes_by_link);
         if (cr.chunk.failover) {
           const int rec = failover_record_[static_cast<size_t>(v)];
           if (rec >= 0) {
@@ -809,19 +816,7 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
     makespan_sim += *wall;
     clock_ += *wall;
 
-    if (collect != nullptr) {
-      // Deterministic cross-shard merge: shard order within the window,
-      // generation order within a shard. Local rows/positions map back
-      // through the shard's routing table and R offset.
-      for (int i = 0; i < n; ++i) {
-        const Shard& shard = *shards_[i];
-        for (const core::JoinMatch& m : window_collect[i]) {
-          collect->push_back(
-              {shard.row_map[m.probe_row],
-               plan_.pos_begin[i] + m.position});
-        }
-      }
-    }
+    if (collect != nullptr) AppendGlobalMatches(window_collect, collect);
   }
 
   // Per-shard counter extrapolation, replicating the single-device
@@ -977,17 +972,7 @@ Result<ShardScheduler::RowBatchResult> ShardScheduler::ExecuteRowBatch(
   if (!wall.ok()) return wall.status();
   if (fault_timeline_ != nullptr) clock_ += *wall;
 
-  if (collect != nullptr) {
-    // Shard order, generation order within a shard — the same
-    // deterministic merge RunJoin uses, mapped to global rows.
-    for (int i = 0; i < n; ++i) {
-      const Shard& shard = *shards_[i];
-      for (const core::JoinMatch& m : window_collect[i]) {
-        collect->push_back(
-            {shard.row_map[m.probe_row], plan_.pos_begin[i] + m.position});
-      }
-    }
-  }
+  if (collect != nullptr) AppendGlobalMatches(window_collect, collect);
   for (uint64_t m : window_matches) out.matches += m;
   out.seconds = stall + *wall;
   return out;
@@ -1012,8 +997,29 @@ std::vector<sim::PhaseSpan> ShardScheduler::ShardPhaseSpans(
   return timeline->Spans();
 }
 
+void ShardScheduler::AppendGlobalMatches(
+    const std::vector<std::vector<core::JoinMatch>>& per_shard,
+    std::vector<core::JoinMatch>* collect) const {
+  // Deterministic cross-shard merge: shard order, generation order within
+  // a shard. Local rows/positions map back through the shard's row map
+  // and R offset.
+  for (int i = 0; i < num_shards(); ++i) {
+    const Shard& shard = *shards_[i];
+    for (const core::JoinMatch& m : per_shard[i]) {
+      collect->push_back(
+          {shard.row_map[m.probe_row], plan_.pos_begin[i] + m.position});
+    }
+  }
+}
+
 Result<double> ShardScheduler::ServiceSlice(uint64_t begin, uint64_t count,
                                             uint64_t ordinal) {
+  return ServiceSliceCollect(begin, count, ordinal, nullptr);
+}
+
+Result<double> ShardScheduler::ServiceSliceCollect(
+    uint64_t begin, uint64_t count, uint64_t ordinal,
+    std::vector<core::JoinMatch>* collect) {
   if (count == 0) {
     return Status::InvalidArgument("cannot serve an empty slice");
   }
@@ -1038,12 +1044,17 @@ Result<double> ShardScheduler::ServiceSlice(uint64_t begin, uint64_t count,
   std::vector<std::vector<Chunk>> chunks = PlanChunks(slices, &steal_events);
   RoutePlans(&chunks);
 
+  std::vector<std::vector<core::JoinMatch>> slice_collect;
+  if (collect != nullptr) slice_collect.resize(n);
   std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
   std::vector<uint64_t> slice_matches(n, 0);
-  Result<double> wall = ExecuteWindow(chunks, ordinal, pool_.get(),
-                                      nullptr, &link_bytes, &slice_matches);
+  Result<double> wall = ExecuteWindow(
+      chunks, ordinal, pool_.get(),
+      collect != nullptr ? &slice_collect : nullptr, &link_bytes,
+      &slice_matches);
   if (!wall.ok()) return wall.status();
   if (fault_timeline_ != nullptr) clock_ += *wall;
+  if (collect != nullptr) AppendGlobalMatches(slice_collect, collect);
 
   // Serving works at sample scale (like the single-device server): the
   // batch's results merge at the coordinator before the response goes

@@ -181,10 +181,15 @@ class ShardScheduler final : public serve::WindowBackend {
       std::vector<core::JoinMatch>* collect = nullptr);
 
   // serve::WindowBackend: fans the slice out to the owning shards and
-  // returns the slowest shard's service time plus the merge.
+  // returns the slowest shard's service time plus the merge. A non-null
+  // `collect` receives the slice's matches with global probe rows and
+  // positions, in shard order; collecting does not change the time.
   uint64_t sample_size() const override { return s_.sample_size(); }
   Result<double> ServiceSlice(uint64_t begin, uint64_t count,
                               uint64_t ordinal) override;
+  Result<double> ServiceSliceCollect(
+      uint64_t begin, uint64_t count, uint64_t ordinal,
+      std::vector<core::JoinMatch>* collect) override;
 
   // ------------------------------------------------------------------
   // Cluster hooks (src/cluster). The cluster tier drives one engine per
@@ -192,7 +197,7 @@ class ShardScheduler final : public serve::WindowBackend {
   // node by leading radix bits and hands the node engine an explicit
   // row set to execute as one batch window. Nothing here is charged to
   // the network — the cluster layer prices handoffs and merges through
-  // its own ClusterTopology on top of the returned node-local wall.
+  // its network-tier Topology on top of the returned node-local wall.
 
   // Outcome of one ExecuteRowBatch window on this engine.
   struct RowBatchResult {
@@ -237,9 +242,7 @@ class ShardScheduler final : public serve::WindowBackend {
            dead_[static_cast<size_t>(shard)] != 0;
   }
   const ShardPlan& plan() const { return plan_; }
-  const Topology& topology() const { return topo_; }
   const workload::ProbeRelation& s() const { return s_; }
-  const core::ExperimentConfig& config() const { return cfg_; }
   // The coordinator-side R column the shards slice — what an HTAP ingest
   // coordinator builds its per-shard hybrid indexes over (the write path
   // must see the same keys the routed reads are served from).
@@ -336,10 +339,10 @@ class ShardScheduler final : public serve::WindowBackend {
                       /*warmup=*/2);
   }
 
-  // Routes s_[begin, begin+count) into the shards' probe buffers.
-  // `serving` wraps each shard's cursor cyclically (the serving path
-  // reuses the buffers forever); the batch path records row maps for
-  // match remapping instead.
+  // Routes s_[begin, begin+count) into the shards' probe buffers and
+  // records each buffer position's global row in the shard's row map
+  // (for match remapping). `serving` wraps each shard's cursor
+  // cyclically: the serving path reuses the buffers forever.
   std::vector<SliceRef> RouteSlice(uint64_t begin, uint64_t count,
                                    bool serving);
 
@@ -382,6 +385,12 @@ class ShardScheduler final : public serve::WindowBackend {
       std::vector<uint64_t>* window_matches);
 
   double MergeSeconds(const std::vector<uint64_t>& result_bytes) const;
+
+  // Appends one window's per-shard matches to `collect` with global
+  // probe rows (through each shard's row map) and global R positions.
+  void AppendGlobalMatches(
+      const std::vector<std::vector<core::JoinMatch>>& per_shard,
+      std::vector<core::JoinMatch>* collect) const;
 
   // ------------------------------------------------------------------
   // Health model (no-ops without a device-fault timeline).

@@ -1,123 +1,33 @@
-// Tests for the multi-node cluster tier (src/cluster): the two-level
-// topology's network pricing, the node planner's key-space split, and
-// the ClusterScheduler's load-bearing invariants — 1-node runs are
+// Tests for the multi-node cluster tier (src/cluster): the
+// ClusterScheduler's load-bearing invariants — 1-node runs are
 // bit-identical to dist::ShardScheduler, the match set survives node
-// deaths, drains and joins unchanged, and results are byte-identical
-// across simulation thread counts.
+// deaths, drains and joins unchanged, results are byte-identical across
+// simulation thread counts, and pinned simulated outputs. The node plan
+// and the network tier are dist's ShardPlanner and Topology; their unit
+// tests live in dist_test and topology_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ios>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_scheduler.h"
-#include "cluster/cluster_topology.h"
-#include "cluster/node_planner.h"
 #include "core/experiment.h"
 #include "dist/shard_scheduler.h"
+#include "dist/topology.h"
 #include "serve/server.h"
+#include "sim/counters.h"
 #include "sim/fault.h"
+#include "util/rng.h"
 #include "workload/key_column.h"
 
 namespace gpujoin {
 namespace {
-
-// --------------------------------------------------------------------
-// ClusterTopology
-
-TEST(ClusterTopologyTest, NodeSecondsIsSymmetricAndMonotone) {
-  for (auto network :
-       {cluster::NetworkKind::kInfiniBand, cluster::NetworkKind::kEthernet}) {
-    auto topo = cluster::ClusterTopology::Create(
-        network, 4, dist::TopologyKind::kNvLink2, 2);
-    ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-    double prev = -1;
-    for (uint64_t bytes : {uint64_t{0}, uint64_t{1} << 12, uint64_t{1} << 20,
-                           uint64_t{1} << 26}) {
-      const double t = topo->NodeSeconds(0, 3, bytes);
-      EXPECT_DOUBLE_EQ(t, topo->NodeSeconds(3, 0, bytes))
-          << cluster::NetworkKindName(network);
-      EXPECT_GE(t, prev) << cluster::NetworkKindName(network);
-      prev = t;
-    }
-    EXPECT_EQ(topo->NodeSeconds(2, 2, uint64_t{1} << 20), 0);
-  }
-}
-
-TEST(ClusterTopologyTest, EthernetSharesASwitchAndInfiniBandDoesNot) {
-  auto ib = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kInfiniBand, 4, dist::TopologyKind::kNvLink2, 1);
-  auto eth = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kEthernet, 4, dist::TopologyKind::kNvLink2, 1);
-  ASSERT_TRUE(ib.ok() && eth.ok());
-  // The Ethernet path crosses one extra (shared) backplane segment.
-  EXPECT_EQ(ib->NodePathLinks(0, 2).size(), 2u);
-  EXPECT_EQ(eth->NodePathLinks(0, 2).size(), 3u);
-  bool saw_shared = false;
-  for (int l : eth->NodePathLinks(0, 2)) {
-    if (eth->links()[l].shared) {
-      saw_shared = true;
-      EXPECT_EQ(eth->Sharers(l, 4), 4);
-    } else {
-      EXPECT_EQ(eth->Sharers(l, 4), 1);
-    }
-  }
-  EXPECT_TRUE(saw_shared);
-  for (int l : ib->NodePathLinks(0, 2)) EXPECT_EQ(ib->Sharers(l, 4), 1);
-  // The commodity network is much slower end to end.
-  const uint64_t bytes = uint64_t{1} << 24;
-  EXPECT_GT(eth->NodeSeconds(0, 2, bytes), 4 * ib->NodeSeconds(0, 2, bytes));
-}
-
-TEST(ClusterTopologyTest, AddNodeGrowsTheTierInPlace) {
-  auto topo = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kEthernet, 2, dist::TopologyKind::kPciE4, 2);
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  const size_t links_before = topo->links().size();
-  auto id = topo->AddNode();
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  EXPECT_EQ(*id, 2);
-  EXPECT_EQ(topo->num_nodes(), 3);
-  EXPECT_EQ(topo->links().size(), links_before + 1);
-  EXPECT_EQ(topo->node_fabric(2).links().size(),
-            topo->node_fabric(0).links().size());
-  EXPECT_GT(topo->NodeSeconds(0, 2, uint64_t{1} << 20), 0);
-}
-
-TEST(ClusterTopologyDeathTest, AccessorsRejectOutOfRangeNodes) {
-  auto topo = cluster::ClusterTopology::Create(
-      cluster::NetworkKind::kInfiniBand, 2, dist::TopologyKind::kNvLink2, 1);
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  EXPECT_DEATH(topo->node_fabric(2), "node_fabric: node must be in");
-  EXPECT_DEATH(topo->uplink(-1), "uplink: node must be in");
-  EXPECT_DEATH(topo->Sharers(99, 2), "Sharers: link must be in");
-}
-
-// --------------------------------------------------------------------
-// NodePlanner
-
-TEST(NodePlannerTest, CellsCoverRAndRouteToTheirOwners) {
-  mem::AddressSpace space;
-  workload::JitteredKeyColumn r(&space, uint64_t{1} << 16, 16, /*seed=*/7);
-  auto plan = cluster::NodePlanner::Plan(r, 3);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->num_nodes(), 3);
-  EXPECT_EQ(plan->cell_pos.front(), 0u);
-  EXPECT_EQ(plan->cell_pos.back(), r.size());
-  uint64_t total = 0;
-  for (uint64_t c = 0; c < plan->cells(); ++c) {
-    EXPECT_LE(plan->cell_pos[c], plan->cell_pos[c + 1]);
-    total += plan->cell_r_tuples(c);
-  }
-  EXPECT_EQ(total, r.size());
-  // Every R key's cell maps back into the owning node's slice.
-  for (uint64_t i = 0; i < r.size(); i += 131) {
-    const int owner = plan->OriginOf(r.key_at(i));
-    EXPECT_GE(i, plan->node_r_begin(owner)) << "key index " << i;
-    EXPECT_LT(i, plan->node_r_end(owner)) << "key index " << i;
-  }
-}
 
 // --------------------------------------------------------------------
 // ClusterScheduler
@@ -185,6 +95,31 @@ TEST(ClusterSchedulerTest, RejectsBadConfigs) {
   full.inlj.mode = core::InljConfig::PartitionMode::kFull;
   EXPECT_FALSE(
       cluster::ClusterScheduler::Create(full, cluster::ClusterConfig{}).ok());
+
+  // One preset enum serves both tiers, so each field rejects the other
+  // tier's presets, naming itself.
+  for (dist::TopologyKind fabric :
+       {dist::TopologyKind::kNvLink2, dist::TopologyKind::kPciE4,
+        dist::TopologyKind::kNvSwitch}) {
+    cluster::ClusterConfig wrong;
+    wrong.network = fabric;
+    auto engine = cluster::ClusterScheduler::Create(cfg, wrong);
+    ASSERT_FALSE(engine.ok()) << dist::TopologyKindName(fabric);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("network"), std::string::npos)
+        << engine.status().ToString();
+  }
+  for (dist::TopologyKind network :
+       {dist::TopologyKind::kInfiniBand, dist::TopologyKind::kEthernet}) {
+    cluster::ClusterConfig wrong;
+    wrong.node_topology = network;
+    auto engine = cluster::ClusterScheduler::Create(cfg, wrong);
+    ASSERT_FALSE(engine.ok()) << dist::TopologyKindName(network);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("node_topology"),
+              std::string::npos)
+        << engine.status().ToString();
+  }
 }
 
 // The bit-identity guarantee: one node with no membership events and no
@@ -457,6 +392,144 @@ TEST(ClusterSchedulerTest, ElasticRunsAreRepeatableOnOneEngine) {
   EXPECT_TRUE(m1 == m2);
 }
 
+uint64_t MatchHash(const std::vector<core::JoinMatch>& matches) {
+  uint64_t h = 0;
+  for (const core::JoinMatch& m : matches) {
+    h = SplitMix64(h ^ m.probe_row) ^ m.position;
+  }
+  return h;
+}
+
+// Simulated outputs recorded as hex floats and exact counters. The
+// batch case runs every network-tier path at once on the contended
+// Ethernet backplane (a join, a death reroute with remote fetches, a
+// drain with migrations); the serving case kills a node while slices
+// are collected over InfiniBand. Any drift in the node plan's cell
+// positions or in the network pricing shows up here.
+TEST(ClusterSchedulerTest, SimulatedOutputIsPinned) {
+  {
+    SCOPED_TRACE("batch");
+    core::ExperimentConfig cfg = MultiWindowConfig();
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = 3;
+    ccfg.gpus_per_node = 2;
+    ccfg.network = cluster::NetworkKind::kEthernet;
+    const double fault_free = MustRun(cfg, ccfg).sim_makespan;
+    EXPECT_EQ(fault_free, 0x1.8de6666cc17c1p-11)
+        << std::hexfloat << fault_free;
+    ccfg.membership.push_back(
+        {cluster::MembershipEvent::Kind::kAddNode, -1, 0.2 * fault_free});
+    ccfg.membership.push_back(
+        {cluster::MembershipEvent::Kind::kDrainNode, 0, 0.4 * fault_free});
+    ccfg.failover.node_faults.events.push_back(
+        {sim::DeviceFaultClass::kShardCrash, 2, 0.25 * fault_free});
+    // Long enough that the death is still undetected at the next window
+    // boundary, so the coordinator stalls.
+    ccfg.failover.heartbeat_timeout = 0.5 * fault_free;
+    const auto run = MustRun(cfg, ccfg);
+
+    EXPECT_EQ(run.run.seconds, 0x1.3cad3705eb745p-1)
+        << std::hexfloat << run.run.seconds;
+    EXPECT_EQ(run.sim_makespan, 0x1.ea7b8a7bd767p-10)
+        << std::hexfloat << run.sim_makespan;
+    EXPECT_EQ(run.merge_seconds, 0x1.5eef66bdefc32p-3)
+        << std::hexfloat << run.merge_seconds;
+    EXPECT_EQ(run.migration_seconds, 0x1.5b031da11cc74p-6)
+        << std::hexfloat << run.migration_seconds;
+    EXPECT_EQ(run.moved_r_tuples, 1245184u);
+    EXPECT_EQ(run.robustness.detection_seconds, 0x1.2fa72b6704de2p-12)
+        << std::hexfloat << run.robustness.detection_seconds;
+    EXPECT_EQ(run.rebalance_events, 2u);
+    EXPECT_EQ(run.robustness.failovers.size(), 1u);
+    EXPECT_EQ(run.steal_events, 6u);
+    const sim::CounterSet counters = {
+        .host_random_read_bytes = 4524075435u,
+        .host_seq_read_bytes = 119829163u,
+        .translation_requests = 5464u,
+        .tlb_hits = 35346388u,
+        .hbm_read_bytes = 539260373u,
+        .hbm_write_bytes = 720169771u,
+        .l1_hits = 75318280u,
+        .l2_misses = 35344339u,
+        .warp_steps = 6572281u,
+        .memory_transactions = 115332974u,
+        .kernel_launches = 66u};
+    EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
+
+    struct PinnedNode {
+      uint64_t r_tuples;
+      uint64_t tuples_routed;
+      uint64_t tuples_rerouted;
+      double busy_seconds;
+    };
+    const PinnedNode nodes[] = {
+        {0u, 16945u, 2263u, 0x1.1ab8b27b85056p-11},
+        {1048576u, 25117u, 6417u, 0x1.5505c63cff29ap-10},
+        {0u, 7603u, 0u, 0x1.0fe41525fc7e9p-12},
+        {1048576u, 15871u, 15871u, 0x1.554524130ed87p-10},
+    };
+    ASSERT_EQ(run.nodes.size(), std::size(nodes));
+    for (size_t n = 0; n < std::size(nodes); ++n) {
+      SCOPED_TRACE("node " + std::to_string(n));
+      EXPECT_EQ(run.nodes[n].r_tuples, nodes[n].r_tuples);
+      EXPECT_EQ(run.nodes[n].tuples_routed, nodes[n].tuples_routed);
+      EXPECT_EQ(run.nodes[n].tuples_rerouted, nodes[n].tuples_rerouted);
+      EXPECT_EQ(run.nodes[n].busy_seconds, nodes[n].busy_seconds)
+          << std::hexfloat << run.nodes[n].busy_seconds;
+    }
+    const std::pair<const char*, uint64_t> links[] = {
+        {"ethernet.switch", 290326043u}, {"ethernet.node0", 147844093u},
+        {"ethernet.node1", 233322120u},  {"ethernet.node2", 81573869u},
+        {"ethernet.node3", 117912003u},
+    };
+    ASSERT_EQ(run.network.size(), std::size(links));
+    for (size_t l = 0; l < std::size(links); ++l) {
+      EXPECT_EQ(run.network[l].name, links[l].first);
+      EXPECT_EQ(run.network[l].bytes, links[l].second) << links[l].first;
+    }
+  }
+  {
+    SCOPED_TRACE("serving");
+    core::ExperimentConfig cfg = MultiWindowConfig();
+    cfg.s_sample = uint64_t{1} << 14;
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = 2;
+    ccfg.gpus_per_node = 2;
+    ccfg.network = cluster::NetworkKind::kInfiniBand;
+    constexpr uint64_t kSlices = 48;  // wraps the sample once and a half
+    constexpr uint64_t kSliceTuples = 512;
+    const auto serve = [&](const cluster::ClusterConfig& c,
+                           std::vector<core::JoinMatch>* matches,
+                           size_t* failovers) {
+      auto engine = cluster::ClusterScheduler::Create(cfg, c);
+      EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+      double seconds = 0;
+      for (uint64_t k = 0; k < kSlices; ++k) {
+        auto slice = (*engine)->ServiceSliceCollect(
+            (k * kSliceTuples) % cfg.s_sample, kSliceTuples, k, matches);
+        EXPECT_TRUE(slice.ok()) << slice.status().ToString();
+        seconds += slice.ok() ? *slice : 0;
+      }
+      *failovers = (*engine)->robustness().failovers.size();
+      return seconds;
+    };
+    std::vector<core::JoinMatch> healthy;
+    size_t failovers = 0;
+    const double fault_free = serve(ccfg, &healthy, &failovers);
+    EXPECT_EQ(fault_free, 0x1.40ff17c315498p-9)
+        << std::hexfloat << fault_free;
+    ccfg.failover.node_faults.events.push_back(
+        {sim::DeviceFaultClass::kShardCrash, 1, 0.5 * fault_free});
+    std::vector<core::JoinMatch> matches;
+    const double seconds = serve(ccfg, &matches, &failovers);
+    EXPECT_EQ(failovers, 1u);
+    EXPECT_EQ(seconds, 0x1.1d944880940bep-8) << std::hexfloat << seconds;
+    EXPECT_EQ(matches.size(), kSlices * kSliceTuples);
+    EXPECT_EQ(MatchHash(matches), 15536497144232683679u);
+    EXPECT_TRUE(matches == healthy);  // order included
+  }
+}
+
 TEST(ClusterSchedulerTest, EthernetIsSlowerThanInfiniBand) {
   core::ExperimentConfig cfg = ClusterExpConfig();
   cluster::ClusterConfig ib;
@@ -522,6 +595,55 @@ TEST(ClusterServeTest, RequestServerFansOutAcrossNodes) {
   ASSERT_TRUE(report2.ok());
   EXPECT_EQ(report->sim_seconds, report2->sim_seconds);
   EXPECT_EQ(report->latency.Quantile(0.99), report2->latency.Quantile(0.99));
+}
+
+// A keyed-tenant ResultCache installs results through match collection,
+// so every engine shape must collect while serving: a bare dist engine,
+// a one-node cluster (which delegates to it) and a two-node cluster all
+// return the same match set, and collecting must not move simulated
+// time against a twin engine serving the same slices uncollected.
+TEST(ClusterServeTest, EveryNodeCountCollectsTheSameMatches) {
+  core::ExperimentConfig cfg = MultiWindowConfig();
+  constexpr uint64_t kSlices = 16;
+  constexpr uint64_t kSliceTuples = 256;
+  const auto make = [&](int nodes) -> std::unique_ptr<serve::WindowBackend> {
+    if (nodes == 0) {
+      dist::ShardConfig dcfg;
+      dcfg.num_shards = 2;
+      auto engine = dist::ShardScheduler::Create(cfg, dcfg);
+      EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+      return std::move(*engine);
+    }
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = nodes;
+    ccfg.gpus_per_node = 2;
+    auto engine = cluster::ClusterScheduler::Create(cfg, ccfg);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return std::move(*engine);
+  };
+  std::vector<core::JoinMatch> reference;
+  for (int nodes : {0, 1, 2}) {
+    SCOPED_TRACE(nodes == 0 ? std::string("dist engine")
+                            : std::to_string(nodes) + "-node cluster");
+    std::unique_ptr<serve::WindowBackend> collecting = make(nodes);
+    std::unique_ptr<serve::WindowBackend> plain = make(nodes);
+    std::vector<core::JoinMatch> matches;
+    for (uint64_t k = 0; k < kSlices; ++k) {
+      const uint64_t begin = k * kSliceTuples;
+      auto with = collecting->ServiceSliceCollect(begin, kSliceTuples, k,
+                                                  &matches);
+      ASSERT_TRUE(with.ok()) << with.status().ToString();
+      auto without = plain->ServiceSlice(begin, kSliceTuples, k);
+      ASSERT_TRUE(without.ok()) << without.status().ToString();
+      EXPECT_EQ(*with, *without) << "slice " << k;
+    }
+    EXPECT_EQ(matches.size(), kSlices * kSliceTuples);
+    if (nodes == 0) {
+      reference = Sorted(std::move(matches));
+    } else {
+      EXPECT_TRUE(Sorted(std::move(matches)) == reference);
+    }
+  }
 }
 
 }  // namespace

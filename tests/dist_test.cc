@@ -1,12 +1,15 @@
 // Tests for the sharded multi-device execution engine (src/dist):
 // topology/planner units, the scale-out and work-stealing claims of the
 // fig10 bench (asserted on small fixed-seed configs), determinism across
-// simulation thread counts, and serving through the backend seam.
+// simulation thread counts, a pinned stealing run, and serving through
+// the backend seam.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ios>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -14,6 +17,7 @@
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
 #include "serve/server.h"
+#include "sim/counters.h"
 #include "workload/key_column.h"
 
 namespace gpujoin {
@@ -104,6 +108,37 @@ TEST(ShardPlannerTest, RoutingAgreesWithSliceOwnership) {
   }
 }
 
+// The cell view of the plan, which the cluster's node level uses for
+// elastic membership: per-cell R positions cover R, and every shard
+// boundary is a cell boundary.
+TEST(ShardPlannerTest, CellsCoverRAndRouteToTheirOwners) {
+  mem::AddressSpace space;
+  workload::JitteredKeyColumn r(&space, uint64_t{1} << 16, 16, /*seed=*/7);
+  auto plan = dist::ShardPlanner::Plan(r, 3);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->num_shards, 3);
+  ASSERT_EQ(plan->cell_pos.size(), plan->cells() + 1);
+  EXPECT_EQ(plan->cell_pos.front(), 0u);
+  EXPECT_EQ(plan->cell_pos.back(), r.size());
+  uint64_t total = 0;
+  for (uint64_t c = 0; c < plan->cells(); ++c) {
+    EXPECT_LE(plan->cell_pos[c], plan->cell_pos[c + 1]);
+    total += plan->cell_r_tuples(c);
+  }
+  EXPECT_EQ(total, r.size());
+  for (int s = 0; s <= plan->num_shards; ++s) {
+    EXPECT_EQ(plan->pos_begin[s], plan->cell_pos[plan->cells_begin[s]])
+        << "shard boundary " << s;
+  }
+  // Every R key's cell maps back into the owning shard's slice.
+  for (uint64_t i = 0; i < r.size(); i += 131) {
+    const int owner = plan->OwnerOf(r.key_at(i));
+    EXPECT_EQ(owner, plan->owner_of_cell[plan->CellOf(r.key_at(i))]);
+    EXPECT_GE(i, plan->pos_begin[owner]) << "key index " << i;
+    EXPECT_LT(i, plan->pos_begin[owner + 1]) << "key index " << i;
+  }
+}
+
 TEST(ShardPlannerTest, ShardKeyColumnIsAViewOfTheSlice) {
   mem::AddressSpace base_space;
   workload::DenseKeyColumn base(&base_space, 4096);
@@ -156,6 +191,22 @@ TEST(ShardSchedulerTest, RejectsNonWindowedModes) {
   cfg.inlj.mode = core::InljConfig::PartitionMode::kFull;
   dist::ShardConfig dcfg;
   EXPECT_FALSE(dist::ShardScheduler::Create(cfg, dcfg).ok());
+}
+
+// Network presets share the enum with the in-node fabrics; the sharded
+// engine prices GPUs, so it refuses them, naming the field.
+TEST(ShardSchedulerTest, RejectsNetworkTopologies) {
+  for (dist::TopologyKind network :
+       {dist::TopologyKind::kInfiniBand, dist::TopologyKind::kEthernet}) {
+    dist::ShardConfig dcfg;
+    dcfg.num_shards = 2;
+    dcfg.topology = network;
+    auto engine = dist::ShardScheduler::Create(DistConfig(), dcfg);
+    ASSERT_FALSE(engine.ok()) << dist::TopologyKindName(network);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(engine.status().message().find("topology"), std::string::npos)
+        << engine.status().ToString();
+  }
 }
 
 TEST(ShardSchedulerTest, EveryProbeTupleIsRoutedAndJoined) {
@@ -263,6 +314,42 @@ TEST(ShardSchedulerTest, ResultsAreIdenticalAcrossThreadCounts) {
     EXPECT_EQ(ra.shards[i].busy_seconds, rb.shards[i].busy_seconds);
     EXPECT_TRUE(ra.shards[i].counters == rb.shards[i].counters);
   }
+}
+
+// A skewed, stealing run on the shared PCI-e link, recorded as hex
+// floats and exact counters. Stolen buckets pay their handoff over the
+// one host link and land in its byte ledger, so any drift in the peer
+// pricing or the link accounting shows up here.
+TEST(ShardSchedulerTest, SimulatedOutputIsPinned) {
+  core::ExperimentConfig cfg = DistConfig();
+  cfg.zipf_exponent = 1.75;
+  cfg.inlj.window_tuples = uint64_t{1} << 14;
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 4;
+  dcfg.topology = dist::TopologyKind::kPciE4;
+  const auto run = MustRun(cfg, dcfg);
+
+  EXPECT_EQ(run.run.seconds, 0x1.a2ed4d11b93fap-5)
+      << std::hexfloat << run.run.seconds;
+  EXPECT_EQ(run.merge_seconds, 0x1.24a60f118fb1dp-6)
+      << std::hexfloat << run.merge_seconds;
+  EXPECT_EQ(run.steal_events, 6u);
+  const sim::CounterSet counters = {
+      .host_random_read_bytes = 78168064u,
+      .host_seq_read_bytes = 134430720u,
+      .translation_requests = 3072u,
+      .tlb_hits = 611584u,
+      .hbm_read_bytes = 553697280u,
+      .hbm_write_bytes = 704692224u,
+      .l1_hits = 6139904u,
+      .l2_misses = 610816u,
+      .warp_steps = 7347200u,
+      .memory_transactions = 11996416u,
+      .kernel_launches = 4096u};
+  EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
+  ASSERT_EQ(run.links.size(), 1u);
+  EXPECT_EQ(run.links[0].name, "pcie4.host");
+  EXPECT_EQ(run.links[0].bytes, 313262080u);
 }
 
 TEST(ShardSchedulerTest, RunsAreRepeatableOnOneEngine) {
