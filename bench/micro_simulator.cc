@@ -167,11 +167,30 @@ void BM_GatherSequential(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 
+// One window boundary of the windowed INLJ: a window touches 64 random
+// host lines, then the cold-line flush runs. The flush's cost should
+// follow the lines the window touched, not the L1 + L2 capacity.
+void BM_WindowFlush(benchmark::State& state) {
+  mem::AddressSpace space;
+  mem::Region host = space.Reserve(kGiB, mem::MemKind::kHost, "h");
+  sim::MemoryModel model(&space, sim::TeslaV100());
+  const uint32_t line = model.line_bytes();
+  Xoshiro256 rng(1);
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      model.Access(host.base + rng.NextBounded(host.size / line) * line, 8,
+                   sim::AccessType::kRead);
+    }
+    model.FlushCaches();
+  }
+}
+
 BENCHMARK(BM_TouchLineSameLine);
 BENCHMARK(BM_TouchLineL1Hit);
 BENCHMARK(BM_TlbLookupHit);
 BENCHMARK(BM_TlbLookupThrash);
 BENCHMARK(BM_GatherSequential);
+BENCHMARK(BM_WindowFlush);
 
 void BM_ZipfSample(benchmark::State& state) {
   workload::ZipfSampler zipf(uint64_t{1} << 34, state.range(0) / 100.0);

@@ -138,9 +138,13 @@ smoke_across_threads cluster build-release/bench/fig15_multinode \
 
 for san in "${SANITIZERS[@]}"; do
   # RelWithDebInfo keeps the sanitizer runs fast enough for the full
-  # test suite while preserving usable stack traces.
+  # test suite while preserving usable stack traces. _GLIBCXX_ASSERTIONS
+  # bounds-checks standard containers: ASan does not flag an index past
+  # a vector's size() that still lies inside its reserved capacity
+  # (sim::Cache reserves its live-slot list up front).
   run_config "build-san-${san//,/}" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DGPUJOIN_SANITIZE=${san}"
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DGPUJOIN_SANITIZE=${san}" \
+    -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
   # The fault paths allocate, unwind and recover in ways the rest of the
   # suite doesn't, and the observer fan-out / JSON emission paths are new;
   # give them a dedicated pass under each sanitizer. The dynamic B-tree

@@ -92,6 +92,10 @@ void Experiment::EnableObservability() {
     trace_ = std::make_unique<sim::TraceRecorder>(&space_);
     gpu_->memory().AddObserver(trace_.get());
   }
+  EnablePhaseTimeline();
+}
+
+void Experiment::EnablePhaseTimeline() {
   if (timeline_ == nullptr) {
     timeline_ = std::make_unique<obs::PhaseTimeline>(&gpu_->memory(),
                                                      &gpu_->cost_model());

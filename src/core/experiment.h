@@ -107,10 +107,14 @@ class Experiment {
   // RunResult::phase_spans and the trace's per-region stats. Counters are
   // unaffected either way (regression-tested bit-identical).
   void EnableObservability();
+  // Attaches only the PhaseTimeline (idempotent), for drivers that read
+  // the spans but not the trace: no recorder resolves every transaction.
+  void EnablePhaseTimeline();
   // Detaches and destroys both (no-op when not enabled).
   void DisableObservability();
 
-  // Null unless EnableObservability() ran. The trace holds the stats of
+  // Null unless EnableObservability() (or, for the timeline,
+  // EnablePhaseTimeline()) ran. The trace holds the stats of
   // the most recent run (each run resets it first).
   sim::TraceRecorder* trace_recorder() { return trace_.get(); }
   obs::PhaseTimeline* phase_timeline() { return timeline_.get(); }

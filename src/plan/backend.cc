@@ -44,7 +44,7 @@ Result<std::unique_ptr<PlannedBackend>> PlannedBackend::Create(
     if (!exp.ok()) return exp.status();
     Engine& engine = backend->engines_[type];
     engine.experiment = std::move(*exp);
-    engine.experiment->EnableObservability();
+    engine.experiment->EnablePhaseTimeline();
     engine.experiment->ResetForRun();
 
     Result<BatchExecutor> executor = BatchExecutor::Create(

@@ -1,6 +1,6 @@
 #include "sim/cache.h"
 
-#include <algorithm>
+#include <limits>
 
 namespace gpujoin::sim {
 
@@ -20,28 +20,46 @@ Cache::Cache(uint64_t size_bytes, uint32_t line_bytes, int ways)
   ways_ = static_cast<int>(num_lines / num_sets_);
   set_mask_ = num_sets_ - 1;
   const size_t slots = num_sets_ * ways_;
+  // The live list stores slot indices in 32 bits.
+  GPUJOIN_CHECK(slots <= std::numeric_limits<uint32_t>::max()) << slots;
   tags_.assign(slots, kInvalidTag);
   last_use_.assign(slots, 0);
+  touches_.reserve(2 * slots);
   touches_.assign(slots, 0);
 }
 
+void Cache::TrackLive(uint64_t slot) {
+  touches_.push_back(static_cast<uint32_t>(slot));
+}
+
 void Cache::Clear() {
-  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-  std::fill(last_use_.begin(), last_use_.end(), 0);
-  std::fill(touches_.begin(), touches_.end(), 0);
+  const size_t slots = tags_.size();
+  for (size_t i = slots; i < touches_.size(); ++i) {
+    const uint32_t slot = touches_[i];
+    tags_[slot] = kInvalidTag;
+    last_use_[slot] = 0;
+    touches_[slot] = 0;
+  }
+  touches_.resize(slots);
   tick_ = 0;
   mru_slot_ = 0;
 }
 
-void Cache::FlushCold(uint64_t min_touches) {
-  for (size_t slot = 0; slot < tags_.size(); ++slot) {
+void Cache::FlushCold(uint32_t min_touches) {
+  // Survivors are compacted to the front of the live list in place.
+  const size_t slots = tags_.size();
+  size_t kept = slots;
+  for (size_t i = slots; i < touches_.size(); ++i) {
+    const uint32_t slot = touches_[i];
     if (touches_[slot] < min_touches) {
       tags_[slot] = kInvalidTag;
       last_use_[slot] = 0;
+    } else {
+      touches_[kept++] = slot;
     }
     touches_[slot] = 0;
   }
+  touches_.resize(kept);
 }
 
 }  // namespace gpujoin::sim
-

@@ -18,6 +18,13 @@ namespace gpujoin::sim {
 // contiguously (one or two cache lines of the host machine for typical
 // associativities) and only touches the recency metadata of the one way
 // it hits or installs.
+//
+// The cache also lists the slots that hold a valid tag. Every slot off the
+// list is (invalid tag, last use 0, touch count 0), so FlushCold and Clear
+// visit only listed slots: a window-boundary flush costs O(lines live at
+// the boundary), not O(capacity). A slot joins the list when a miss
+// installs into it while it is invalid; hits and installs over a valid
+// victim leave the list alone.
 class Cache {
  public:
   // `size_bytes` and `line_bytes` must be powers of two; associativity is
@@ -48,7 +55,7 @@ class Cache {
       if (tags[w] == line_id) {
         const uint64_t slot = base + w;
         last_use_[slot] = tick_;
-        ++touches_[slot];
+        Touch(slot);
         mru_slot_ = slot;
         return true;
       }
@@ -58,6 +65,7 @@ class Cache {
       }
     }
     const uint64_t slot = base + lru;
+    if (tags[lru] == kInvalidTag) [[unlikely]] TrackLive(slot);
     tags_[slot] = line_id;
     last_use_[slot] = tick_;
     touches_[slot] = 1;
@@ -73,7 +81,7 @@ class Cache {
   void TouchMru() {
     ++tick_;
     last_use_[mru_slot_] = tick_;
-    ++touches_[mru_slot_];
+    Touch(mru_slot_);
   }
 
   // Probes without installing or updating recency.
@@ -92,15 +100,29 @@ class Cache {
   // Drops lines touched fewer than `min_touches` times since they were
   // installed (or since the last flush). Models heavy churn that evicts
   // everything except constantly re-touched hot lines; touch counts reset.
-  void FlushCold(uint64_t min_touches);
+  void FlushCold(uint32_t min_touches);
 
   uint64_t size_bytes() const { return size_bytes_; }
   uint32_t line_bytes() const { return line_bytes_; }
   int ways() const { return ways_; }
   uint64_t num_sets() const { return num_sets_; }
 
+  // Introspection for tests: the number of slots holding a valid tag.
+  size_t live_slots() const { return touches_.size() - tags_.size(); }
+
  private:
   static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+
+  // Saturating, so a hot line's count can never wrap back below the
+  // flush threshold.
+  void Touch(uint64_t slot) {
+    touches_[slot] += touches_[slot] != ~uint32_t{0};
+  }
+
+  // Appends a slot that an install is about to make valid to the live
+  // list. Out of line: installs into empty slots are the rare case, and
+  // the append inlined into Access slows down the hit path.
+  [[gnu::noinline]] void TrackLive(uint64_t slot);
 
   uint64_t size_bytes_;
   uint32_t line_bytes_;
@@ -112,7 +134,15 @@ class Cache {
   // Parallel arrays of num_sets_ * ways_ entries, indexed set * ways + w.
   std::vector<uint64_t> tags_;
   std::vector<uint64_t> last_use_;
-  std::vector<uint64_t> touches_;
+  // The slots' touch counts, followed by the live list: the entries past
+  // the first tags_.size() are the indices of the slots that hold a valid
+  // tag, in no particular order. Reserved for twice the slot count up
+  // front, so an append never reallocates and the list's pages are only
+  // touched as it grows. Counts and list share one allocation of 8 bytes
+  // per slot, the size the 64-bit counts had; as two vectors of the same
+  // footprint they raised the peak RSS of runs that rebuild their caches
+  // repeatedly (heap fragmentation).
+  std::vector<uint32_t> touches_;
 };
 
 }  // namespace gpujoin::sim

@@ -170,7 +170,7 @@ class MemoryModel {
  private:
   // Lines touched at least this often within a window survive the
   // window-boundary flush.
-  static constexpr uint64_t kHotLineTouches = 2;
+  static constexpr uint32_t kHotLineTouches = 2;
 
   static constexpr uint64_t kNoLine = ~uint64_t{0};
   static constexpr uint64_t kNoPage = ~uint64_t{0};
@@ -184,8 +184,9 @@ class MemoryModel {
     uint64_t stamp = 0;
   };
 
-  // Processes one line-granular transaction; returns the level it was
-  // served from (0 = L1, 1 = L2, 2 = memory).
+  // Processes one line-granular transaction: serves it from L1, L2,
+  // device memory or (after a TLB lookup) host memory, and charges the
+  // counters of the level that served it.
   void TouchLine(uint64_t line_id, AccessType type, bool random);
 
   // Consults the TLB for host page `vpn`, applying the co-resident-warp

@@ -195,5 +195,40 @@ TEST(Experiment, DeterministicAcrossRuns) {
             rb.counters.translation_requests);
 }
 
+// The windowed INLJ's simulated output past the TLB range: 32 windows,
+// each closed by a cold-line flush whose survivors carry into the next
+// window. How the caches find their live lines is not part of the model,
+// so a change there must leave seconds and every counter bit-identical;
+// any other change to these values is a deliberate re-baseline.
+TEST(Experiment, WindowedInljSimulatedOutputIsPinned) {
+  ExperimentConfig cfg;
+  cfg.platform = sim::V100NvLink2();
+  cfg.r_tuples = uint64_t{1} << 33;  // 64 GiB, twice the TLB range
+  cfg.s_tuples = uint64_t{1} << 26;
+  cfg.s_sample = uint64_t{1} << 14;
+  cfg.index_type = index::IndexType::kRadixSpline;
+  cfg.inlj.mode = InljConfig::PartitionMode::kWindowed;
+  cfg.inlj.window_tuples = uint64_t{1} << 21;  // 2^26 / 2^21 = 32 windows
+  auto exp = Experiment::Create(cfg);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  sim::RunResult res = (*exp)->RunInlj().value();
+  EXPECT_EQ(res.seconds, 0x1.15bf56907a458p-2)  // bit for bit
+      << std::hexfloat << res.seconds;
+  const sim::CounterSet expected = {.host_random_read_bytes = 9473884160u,
+                                    .host_seq_read_bytes = 536870912u,
+                                    .translation_requests = 16384u,
+                                    .tlb_hits = 74129408u,
+                                    .hbm_read_bytes = 3221225472u,
+                                    .hbm_write_bytes = 4831838208u,
+                                    .l1_hits = 447037440u,
+                                    .l2_misses = 74014720u,
+                                    .warp_steps = 31367168u,
+                                    .memory_transactions = 542023680u,
+                                    .kernel_launches = 64u};
+  EXPECT_TRUE(res.counters == expected)
+      << "got      " << res.counters.ToString() << "\nexpected "
+      << expected.ToString();
+}
+
 }  // namespace
 }  // namespace gpujoin::core

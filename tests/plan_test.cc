@@ -460,6 +460,111 @@ TEST(PlannedBackendTest, IdenticallySeededAdaptiveBackendsAgree) {
   }
 }
 
+// 32 adaptive slices over a 64 GiB R, with exploration raised so every
+// engine serves at least one slice. Each engine flushes its cold cache
+// lines between slices, so the pins cover the flush survivors each engine
+// carries from one slice to its next. How the caches find their live
+// lines is not part of the model; any change to these values is a
+// deliberate re-baseline.
+TEST(PlannedBackendTest, SimulatedOutputIsPinned) {
+  struct Pinned {
+    const char* plan;
+    double predicted_seconds;
+    double charged_seconds;
+    bool explored;
+    uint64_t matches;
+  };
+  const Pinned pinned[] = {
+      {"radix_spline/full", 0x1.d7c2ef708d2b4p-15, 0x1.35aafab022319p-14,
+       false, 2048u},
+      {"btree/full", 0x1.da9e825e6110cp-14, 0x1.34fa2d3460c41p-13,
+       true, 2048u},
+      {"radix_spline/full", 0x1.d7c2ef708d2b4p-15, 0x1.35644bde3b2b6p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.35aafab022319p-14, 0x1.35060d7107232p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3581bf605b6dfp-14, 0x1.348864df6c6d7p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.354368c01faddp-14, 0x1.35e1f46fd5e11p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.356b0bac0d3aap-14, 0x1.3550a9877affp-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.35647322e8abcp-14, 0x1.35605e99ae55cp-14,
+       false, 2048u},
+      {"harmonia/full", 0x1.e2b1c0a8bad8cp-14, 0x1.ed5ea98c8e49p-14,
+       true, 2048u},
+      {"radix_spline/full", 0x1.35644bde3b2b6p-14, 0x1.34f26b1a46f6cp-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.35636e009a164p-14, 0x1.34cf13b15373ap-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.353e576cc86d9p-14, 0x1.346ce7ff9295cp-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3509fb917af79p-14, 0x1.34fe32e7ed77cp-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3507096717979p-14, 0x1.352d521e877bep-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.787dc60300a4ap-13, 0x1.1be6e653868fdp-14,
+       true, 2048u},
+      {"radix_spline/full", 0x1.3547d3ad3e1e5p-14, 0x1.3519afc7c74f8p-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1be6e653868fdp-14, 0x1.2018a43bb40b3p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.353c4ab3e06aap-14, 0x1.34e6a34ca075cp-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1cf355cd91eeap-14, 0x1.1fb3fa6defc7ap-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3526e0da106d6p-14, 0x1.349819f19fc42p-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1da37ef5a964ep-14, 0x1.1f70de8f6ceffp-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.35032f1ff4431p-14, 0x1.3502202c7a4d7p-14,
+       false, 2048u},
+      {"binary_search/full", 0x1.3d25aac62471p-13, 0x1.78b5150f80482p-13,
+       true, 2048u},
+      {"radix_spline/full", 0x1.3502eb6315c5bp-14, 0x1.359b459deedaep-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1e16d6dc1a47ap-14, 0x1.22d948dc11e43p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.352901f1cc0afp-14, 0x1.358f7dd04859ep-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1f47735c182ecp-14, 0x1.1a543f1c75819p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3542a0e96b1ebp-14, 0x1.34d6ee3a6d1fp-14,
+       false, 2048u},
+      {"btree/none", 0x1.12863e49a1997p-12, 0x1.4b838c111ada7p-12,
+       true, 2048u},
+      {"radix_spline/none", 0x1.1e0aa64c2f838p-14, 0x1.1e42e12620254p-14,
+       false, 2048u},
+      {"radix_spline/full", 0x1.3527b43dab9ecp-14, 0x1.350de7fa20ce8p-14,
+       false, 2048u},
+      {"radix_spline/none", 0x1.1e18b502ababfp-14, 0x1.240746455eaeep-14,
+       false, 2048u},
+  };
+  constexpr uint64_t kBatch = 2048;
+  constexpr uint64_t kSlices = std::size(pinned);
+  auto config = SmallBackendConfig(uint64_t{1} << 33, kBatch * kSlices);
+  config.base.s_tuples = uint64_t{1} << 22;
+  config.planner.epsilon = 0.25;
+  config.planner.explore_ceiling = 16;
+  auto backend = plan::PlannedBackend::Create(config);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  for (uint64_t b = 0; b < kSlices; ++b) {
+    SCOPED_TRACE("slice " + std::to_string(b));
+    auto out = (*backend)->RouteSlice(b * kBatch, kBatch, b);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const Pinned& p = pinned[b];
+    EXPECT_EQ(out->chosen.Name(), p.plan);
+    EXPECT_EQ(out->predicted_seconds, p.predicted_seconds)  // bit for bit
+        << std::hexfloat << out->predicted_seconds;
+    EXPECT_EQ(out->charged_seconds, p.charged_seconds)
+        << std::hexfloat << out->charged_seconds;
+    EXPECT_EQ(out->explored, p.explored);
+    EXPECT_EQ(out->matches, p.matches);
+  }
+  EXPECT_EQ((*backend)->total_seconds(), 0x1.6cbce1cb00934p-9)
+      << std::hexfloat << (*backend)->total_seconds();
+}
+
 TEST(PlannedBackendTest, AdaptiveStaysWithinRegretBoundOfOracle) {
   // A compressed Fig. 11: the best plan flips between phases (a tiny R
   // where partitioning is overhead, then a larger skewed R). One

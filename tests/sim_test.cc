@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "mem/address_space.h"
 #include "sim/cache.h"
 #include "sim/cost_model.h"
@@ -8,6 +12,7 @@
 #include "sim/memory_model.h"
 #include "sim/specs.h"
 #include "sim/tlb.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace gpujoin::sim {
@@ -59,6 +64,161 @@ TEST(Cache, ClampsAssociativity) {
   Cache cache(128, 64, 16);  // only 2 lines available
   EXPECT_EQ(cache.ways(), 2);
   EXPECT_EQ(cache.num_sets(), 1u);
+}
+
+// The cache model as it was before it listed its live slots: the same
+// LRU over plain arrays, with FlushCold and Clear scanning every slot.
+class FullScanCache {
+ public:
+  FullScanCache(uint64_t num_sets, int ways)
+      : set_mask_(num_sets - 1),
+        ways_(ways),
+        tags_(num_sets * ways, kInvalid),
+        last_use_(num_sets * ways, 0),
+        touches_(num_sets * ways, 0) {}
+
+  bool Access(uint64_t line_id) {
+    const uint64_t base = (line_id & set_mask_) * ways_;
+    ++tick_;
+    uint64_t lru = base;
+    for (uint64_t slot = base; slot < base + ways_; ++slot) {
+      if (tags_[slot] == line_id) {
+        last_use_[slot] = tick_;
+        ++touches_[slot];
+        mru_ = slot;
+        return true;
+      }
+      if (last_use_[slot] < last_use_[lru]) lru = slot;
+    }
+    tags_[lru] = line_id;
+    last_use_[lru] = tick_;
+    touches_[lru] = 1;
+    mru_ = lru;
+    return false;
+  }
+
+  void TouchMru() {
+    last_use_[mru_] = ++tick_;
+    ++touches_[mru_];
+  }
+
+  bool Contains(uint64_t line_id) const {
+    const uint64_t base = (line_id & set_mask_) * ways_;
+    for (uint64_t slot = base; slot < base + ways_; ++slot) {
+      if (tags_[slot] == line_id) return true;
+    }
+    return false;
+  }
+
+  // Returns the number of lines that survive.
+  size_t FlushCold(uint64_t min_touches) {
+    size_t survivors = 0;
+    for (size_t slot = 0; slot < tags_.size(); ++slot) {
+      if (touches_[slot] < min_touches) {
+        tags_[slot] = kInvalid;
+        last_use_[slot] = 0;
+      }
+      survivors += tags_[slot] != kInvalid;
+      touches_[slot] = 0;
+    }
+    return survivors;
+  }
+
+  void Clear() {
+    std::fill(tags_.begin(), tags_.end(), kInvalid);
+    std::fill(last_use_.begin(), last_use_.end(), 0);
+    std::fill(touches_.begin(), touches_.end(), 0);
+    tick_ = 0;
+    mru_ = 0;
+  }
+
+ private:
+  static constexpr uint64_t kInvalid = ~uint64_t{0};
+
+  uint64_t set_mask_;
+  uint64_t ways_;
+  std::vector<uint64_t> tags_;
+  std::vector<uint64_t> last_use_;
+  std::vector<uint64_t> touches_;
+  uint64_t tick_ = 0;
+  uint64_t mru_ = 0;
+};
+
+// Seeded random operations drive sim::Cache and FullScanCache in lock
+// step; every Access result, every Contains over the line universe and
+// the live-slot count after each flush must agree. The universe covers
+// four sets spread over the slot array (first, second, middle, last),
+// with twice the associativity of lines per set, so misses evict and
+// flushes both drop and keep lines. TouchMru runs only while the MRU
+// entry is valid, as the Cache contract requires.
+TEST(Cache, MatchesFullScanReference) {
+  const GpuSpec v100 = TeslaV100();
+  struct Geometry {
+    const char* name;
+    uint64_t size_bytes;
+    uint32_t line_bytes;
+    int ways;
+  };
+  const Geometry geometries[] = {
+      {"v100_l1", v100.l1_size, v100.cacheline_bytes, v100.l1_ways},
+      {"v100_l2", v100.l2_size, v100.cacheline_bytes, v100.l2_ways},
+      {"clamped_ways", 512, 64, 16},
+      {"toy_4_sets", 512, 64, 2},
+      // Tlb(32 GiB, 1 GiB, 8): 32 entries, "line size" 1.
+      {"tlb_32_entries", 32, 1, v100.tlb_ways},
+  };
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(g.name);
+    Cache cache(g.size_bytes, g.line_bytes, g.ways);
+    FullScanCache reference(cache.num_sets(), cache.ways());
+    const uint64_t sets = cache.num_sets();
+    std::vector<uint64_t> probed = {0, 1, sets / 2, sets - 1};
+    std::sort(probed.begin(), probed.end());
+    probed.erase(std::unique(probed.begin(), probed.end()), probed.end());
+    std::erase_if(probed, [sets](uint64_t set) { return set >= sets; });
+    std::vector<uint64_t> universe;
+    for (uint64_t set : probed) {
+      for (int k = 0; k < 2 * cache.ways(); ++k) {
+        universe.push_back(set + static_cast<uint64_t>(k) * sets);
+      }
+    }
+
+    Xoshiro256 rng(16);
+    bool mru_valid = false;
+    uint64_t hits = 0;
+    size_t survivors = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t r = rng.NextBounded(1000);
+      if (r < 8) {
+        const size_t kept = reference.FlushCold(2);
+        cache.FlushCold(2);
+        ASSERT_EQ(cache.live_slots(), kept) << "op " << op;
+        survivors += kept;
+        mru_valid = false;
+      } else if (r == 8) {
+        reference.Clear();
+        cache.Clear();
+        ASSERT_EQ(cache.live_slots(), 0u) << "op " << op;
+        mru_valid = false;
+      } else if (r < 250 && mru_valid) {
+        reference.TouchMru();
+        cache.TouchMru();
+      } else {
+        const uint64_t line = universe[rng.NextBounded(universe.size())];
+        const bool hit = reference.Access(line);
+        ASSERT_EQ(cache.Access(line), hit) << "op " << op;
+        hits += hit;
+        mru_valid = true;
+      }
+      for (uint64_t line : universe) {
+        ASSERT_EQ(cache.Contains(line), reference.Contains(line))
+            << "op " << op << " line " << line;
+      }
+    }
+    // Both kinds of outcome occurred, so the agreement is not vacuous.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(survivors, 0u);
+  }
 }
 
 // --- TLB --------------------------------------------------------------
