@@ -79,7 +79,7 @@ int Main(int argc, char** argv) {
   }
   return FinishBench(flags, cells, table,
                      "Fig. 6 — translation requests eliminated by partitioning "
-              "(%% vs Fig. 4)",
+              "(% vs Fig. 4)",
                      sink);
 }
 

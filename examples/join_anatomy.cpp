@@ -26,9 +26,9 @@ int main() {
   }
 
   sim::TraceRecorder trace(&(*experiment)->gpu().memory().space());
-  (*experiment)->gpu().memory().SetObserver(&trace);
+  (*experiment)->gpu().memory().AddObserver(&trace);
   sim::RunResult res = (*experiment)->RunInlj().value();
-  (*experiment)->gpu().memory().SetObserver(nullptr);
+  (*experiment)->gpu().memory().RemoveObserver(&trace);
 
   std::printf("windowed INLJ over a Harmonia index, R = 64 GiB "
               "(sampled run)\n");

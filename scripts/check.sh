@@ -145,13 +145,6 @@ for san in "${SANITIZERS[@]}"; do
   run_config "build-san-${san//,/}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo "-DGPUJOIN_SANITIZE=${san}" \
     -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
-  # The fault paths allocate, unwind and recover in ways the rest of the
-  # suite doesn't, and the observer fan-out / JSON emission paths are new;
-  # give them a dedicated pass under each sanitizer. The dynamic B-tree
-  # and HTAP ingest tests churn node recycling and merge/swap lifecycles,
-  # the kind of use-after-free surface sanitizers exist for.
-  ctest --test-dir "build-san-${san//,/}" --output-on-failure \
-    -R 'fault_test|partition_test|sweep_test|counters_test|obs_test|trace_test|serve_test|tenant_test|dist_test|plan_test|chaos_test|dynamic_btree_test|htap_test|cluster_test|topology_test'
 done
 
 echo "=== all configurations passed ==="

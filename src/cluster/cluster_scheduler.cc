@@ -6,15 +6,9 @@
 #include <tuple>
 #include <utility>
 
-#include "util/bit_util.h"
-
 namespace gpujoin::cluster {
 
 namespace {
-
-uint64_t ScaleStat(uint64_t v, double f) {
-  return static_cast<uint64_t>(std::llround(static_cast<double>(v) * f));
-}
 
 // Bytes one probe row drags over the network when handed from the
 // ingress to its charge node: just the key (results return in the
@@ -163,22 +157,16 @@ Status ClusterScheduler::Build() {
     nodes_.push_back(std::move(node));
   }
 
-  // The cluster window grid: dist's formulas with every GPU in the
-  // cluster as one shard, so a given (nodes * gpus) budget sees the
-  // same global stride whether it is packed into one machine or eight.
-  const uint64_t total_shards =
+  // Every GPU in the cluster is one device of the grid, so a (nodes *
+  // gpus) budget sees the same global stride however it is packed. No
+  // clamp: a range-restricted sample runs on one node only, whose
+  // engine clamps its own device windows.
+  grid_ = core::WindowGrid::Make(
+      cfg_.s_tuples, nodes_[0]->engine->s().sample_size(),
+      cfg_.inlj.window_tuples,
       static_cast<uint64_t>(ccfg_.num_nodes) *
-      static_cast<uint64_t>(ccfg_.gpus_per_node);
-  const uint64_t sample = nodes_[0]->engine->s().sample_size();
-  w_full_ = std::min(cfg_.inlj.window_tuples,
-                     bits::CeilDiv(cfg_.s_tuples, total_shards));
-  w_dev_ = std::min(w_full_, sample);
-  w_dev_ = std::max<uint64_t>(1, std::min(w_dev_, sample / total_shards));
-  window_scale_ =
-      static_cast<double>(w_full_) / static_cast<double>(w_dev_);
-  stride_ = total_shards * w_dev_;
-  n_sim_ = bits::CeilDiv(sample, stride_);
-  n_full_ = bits::CeilDiv(cfg_.s_tuples, total_shards * w_full_);
+          static_cast<uint64_t>(ccfg_.gpus_per_node),
+      /*clamp_scale=*/std::nullopt);
 
   if (ccfg_.failover.enabled()) {
     int adds = 0;
@@ -427,13 +415,13 @@ Result<double> ClusterScheduler::CheckNodeHealth(double now) {
 }
 
 std::vector<ClusterScheduler::Group> ClusterScheduler::GroupRows(
-    const uint64_t* rows, uint64_t count) const {
+    uint64_t begin, uint64_t count) const {
   const workload::Key* keys =
       nodes_[0]->engine->s().keys.data().data();
   std::map<std::tuple<int, int, bool>, size_t> index;
   std::vector<Group> groups;
-  for (uint64_t i = 0; i < count; ++i) {
-    const workload::Key key = keys[rows[i]];
+  for (uint64_t row = begin; row < begin + count; ++row) {
+    const workload::Key key = keys[row];
     const uint64_t cell = plan_.CellOf(key);
     const int origin = origin_of_cell(cell);
     const int charge = charge_of_cell_[cell];
@@ -448,7 +436,7 @@ std::vector<ClusterScheduler::Group> ClusterScheduler::GroupRows(
       g.fetch = fetch;
       groups.push_back(std::move(g));
     }
-    groups[it->second].rows.push_back(rows[i]);
+    groups[it->second].rows.push_back(row);
   }
   std::sort(groups.begin(), groups.end(),
             [](const Group& a, const Group& b) {
@@ -604,9 +592,7 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
   const double scale = s.scale();
 
   double makespan = 0;
-  std::vector<uint64_t> rows;
-  rows.reserve(stride_);
-  for (uint64_t w = 0; w < n_sim_; ++w) {
+  for (uint64_t w = 0; w < grid_.n_sim; ++w) {
     Status ms = ApplyMembership(clock_);
     if (!ms.ok()) return ms;
     Result<double> stall = CheckNodeHealth(clock_);
@@ -614,11 +600,9 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
     makespan += *stall;
     clock_ += *stall;
 
-    const uint64_t begin = w * stride_;
-    const uint64_t count = std::min(stride_, sample - begin);
-    rows.clear();
-    for (uint64_t i = 0; i < count; ++i) rows.push_back(begin + i);
-    std::vector<Group> groups = GroupRows(rows.data(), count);
+    const uint64_t begin = w * grid_.stride;
+    const uint64_t count = std::min(grid_.stride, sample - begin);
+    std::vector<Group> groups = GroupRows(begin, count);
     Result<double> wall =
         ExecuteGroups(groups, w, collect, /*slice_merge_seconds=*/nullptr);
     if (!wall.ok()) return wall.status();
@@ -640,22 +624,20 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
   for (auto& node : nodes_) {
     matches_total += node->out.matches;
     result_bytes[static_cast<size_t>(node->id)] =
-        ScaleStat(node->out.matches, scale) * kResultBytesPerMatch;
+        sim::ScaleCount(node->out.matches, scale) * kResultBytesPerMatch;
   }
   const int ingress = IngressNode();
   out.merge_seconds =
       ingress >= 0 ? MergeSecondsNet(result_bytes, ingress) : 0;
 
-  const double window_factor = static_cast<double>(n_full_) /
-                               static_cast<double>(n_sim_);
-  const double extrap = window_scale_ * window_factor;
+  const double extrap = grid_.extrapolation();
 
   out.run.label =
       "cluster_inlj_" + std::string(dist::TopologyKindName(ccfg_.network)) +
       "_x" + std::to_string(ccfg_.num_nodes) + "n" +
       std::to_string(ccfg_.gpus_per_node) + "g";
   out.run.probe_tuples = s.full_size;
-  out.run.result_tuples = ScaleStat(matches_total, scale);
+  out.run.result_tuples = sim::ScaleCount(matches_total, scale);
   out.run.seconds =
       makespan * extrap + out.merge_seconds + migration_seconds_;
   sim::CounterSet counters;
@@ -697,7 +679,7 @@ Result<ClusterRunResult> ClusterScheduler::RunJoin(
   for (size_t l = 0; l < topo_.links().size(); ++l) {
     NetworkLinkStats ls;
     ls.name = topo_.links()[l].name;
-    ls.bytes = ScaleStat(window_link_bytes_[l], extrap) +
+    ls.bytes = sim::ScaleCount(window_link_bytes_[l], extrap) +
                event_link_bytes_[l];
     if (out.run.seconds > 0) {
       ls.utilization =
@@ -738,9 +720,7 @@ Result<double> ClusterScheduler::ServiceSliceCollect(
   Result<double> stall = CheckNodeHealth(clock_);
   if (!stall.ok()) return stall.status();
 
-  std::vector<uint64_t> rows(count);
-  for (uint64_t i = 0; i < count; ++i) rows[i] = begin + i;
-  std::vector<Group> groups = GroupRows(rows.data(), count);
+  std::vector<Group> groups = GroupRows(begin, count);
   double merge = 0;
   Result<double> wall = ExecuteGroups(groups, ordinal, collect, &merge);
   if (!wall.ok()) return wall.status();

@@ -8,6 +8,7 @@
 
 #include "core/experiment.h"
 #include "core/match.h"
+#include "core/window_grid.h"
 #include "dist/shard_planner.h"
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
@@ -225,8 +226,9 @@ class ClusterScheduler final : public serve::WindowBackend {
     return plan_.owner_of_cell[cell];
   }
 
-  // Groups rows[0..count) by (origin, charge, fetch), in that order.
-  std::vector<Group> GroupRows(const uint64_t* rows, uint64_t count) const;
+  // Groups rows begin..begin+count by (origin, charge, fetch), in that
+  // order.
+  std::vector<Group> GroupRows(uint64_t begin, uint64_t count) const;
 
   // Executes one window's groups, charges network handoff/fetch and
   // contention, and returns the window wall (max over charge nodes).
@@ -277,14 +279,9 @@ class ClusterScheduler final : public serve::WindowBackend {
   std::unique_ptr<mem::AddressSpace> space_;
   std::unique_ptr<workload::KeyColumn> r_;
 
-  // The cluster window grid, dist's formulas with
-  // total GPUs = origin nodes * gpus_per_node as the shard count.
-  uint64_t w_full_ = 0;
-  uint64_t w_dev_ = 0;
-  uint64_t stride_ = 0;
-  uint64_t n_sim_ = 0;
-  uint64_t n_full_ = 0;
-  double window_scale_ = 1;
+  // The cluster window grid: one device per GPU of every origin node,
+  // without the range-restricted clamp.
+  core::WindowGrid grid_;
 
   std::vector<std::unique_ptr<Node>> nodes_;
 

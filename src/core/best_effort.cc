@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <deque>
 #include <vector>
 
@@ -126,14 +125,12 @@ sim::RunResult BestEffortInlj::Run(sim::Gpu& gpu, const index::Index& index,
   scatter.counters = scatter.counters.Scaled(scale);
   joins.counters = joins.counters.Scaled(scale);
   // Launch counts scale with the flush count, which is per-tuple work.
-  joins.counters.kernel_launches = static_cast<uint64_t>(
-      std::llround(static_cast<double>(flushes) * scale));
+  joins.counters.kernel_launches = sim::ScaleCount(flushes, scale);
 
   sim::RunResult result;
   result.label = std::string("bep_inlj_") + index.name();
   result.probe_tuples = s.full_size;
-  result.result_tuples = static_cast<uint64_t>(
-      std::llround(static_cast<double>(matches) * scale));
+  result.result_tuples = sim::ScaleCount(matches, scale);
   const double t_scatter = gpu.TimeOf(scatter);
   const double t_join = gpu.TimeOf(joins);
   // Scatter and bucket joins interleave on the device; the joins dominate

@@ -1,26 +1,17 @@
 #include "core/inlj.h"
 
 #include "core/join_kernel.h"
+#include "core/window_grid.h"
 #include "core/window_join.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "sim/phase.h"
-#include "util/bit_util.h"
 #include "util/check.h"
 
 namespace gpujoin::core {
-
-namespace {
-
-uint64_t ScaleStat(uint64_t v, double f) {
-  return static_cast<uint64_t>(std::llround(static_cast<double>(v) * f));
-}
-
-}  // namespace
 
 const char* PartitionModeName(InljConfig::PartitionMode mode) {
   switch (mode) {
@@ -101,8 +92,8 @@ Result<sim::RunResult> IndexNestedLoopJoin::Run(
       result.counters += join.counters;
       result.AddStage("partition", t_part);
       result.AddStage("join", t_join);
-      result.spilled_tuples = ScaleStat(stats.spilled_tuples, scale);
-      result.spill_buckets = ScaleStat(stats.spill_buckets, scale);
+      result.spilled_tuples = sim::ScaleCount(stats.spilled_tuples, scale);
+      result.spill_buckets = sim::ScaleCount(stats.spill_buckets, scale);
       result.degraded_windows = stats.degraded_windows;
       result.fallback_windows = stats.fallback_windows;
       break;
@@ -114,87 +105,49 @@ Result<sim::RunResult> IndexNestedLoopJoin::Run(
       if (!joiner.ok()) return joiner.status();
       result.result_buffer_on_host = joiner->result_on_host();
 
-      // Simulate windows over the sample. For range-restricted samples
-      // (full density over a 1/scale slice of R), a simulated window of
-      // W/scale tuples has exactly a real window's per-partition density;
-      // thinned samples fall back to sample-sized windows.
-      // A window never holds more than the whole probe relation.
-      const uint64_t w_full = std::min(config.window_tuples, s.full_size);
-      uint64_t w_sim = std::min(w_full, sample);
-      if (s.scheme == workload::SampleScheme::kRangeRestricted) {
-        w_sim = std::clamp<uint64_t>(
-            static_cast<uint64_t>(std::llround(
-                static_cast<double>(w_full) / scale)),
-            32, sample);
-      }
-      const double window_scale =
-          static_cast<double>(w_full) / static_cast<double>(w_sim);
-      const uint64_t n_sim = bits::CeilDiv(sample, w_sim);
-      const uint64_t n_full = bits::CeilDiv(s.full_size, w_full);
-
-      sim::CounterSet part_avg;
-      sim::CounterSet join_avg;
-      double t_part = 0;
-      double t_join = 0;
-      for (uint64_t w = 0; w < n_sim; ++w) {
-        const uint64_t begin = w * w_sim;
-        const uint64_t count = std::min(w_sim, sample - begin);
+      // Simulate windows over the sample, one device wide.
+      const WindowGrid grid =
+          WindowGrid::Make(s.full_size, sample, config.window_tuples,
+                           /*devices=*/1, WindowGrid::ClampOf(s));
+      sim::CounterSet part_sum;
+      sim::CounterSet join_sum;
+      for (uint64_t w = 0; w < grid.n_sim; ++w) {
+        const uint64_t begin = w * grid.stride;
+        const uint64_t count = std::min(grid.stride, sample - begin);
         Result<WindowRun> run = joiner->RunWindow(begin, count, w, collect);
         if (!run.ok()) return run.status();
-        part_avg += run->partition.counters;
-        join_avg += run->join.counters;
+        part_sum += run->partition.counters;
+        join_sum += run->join.counters;
         matches += run->matches;
         stats += run->stats;
       }
 
-      // Average per-window counters, normalized to one full-size window.
-      const double to_one_window =
-          window_scale / static_cast<double>(n_sim);
-      part_avg = part_avg.Scaled(to_one_window);
-      join_avg = join_avg.Scaled(to_one_window);
-      // Keep per-window launch costs: each window launches one partition
-      // and one join kernel.
-      part_avg.kernel_launches = 1;
-      join_avg.kernel_launches = 1;
-
-      t_part = gpu.cost_model().Seconds(part_avg) +
-               gpu.platform().gpu.stream_sync_overhead;
-      t_join = gpu.cost_model().Seconds(join_avg);
-      if (config.overlap && n_full > 1) {
+      // Each window launches one partition and one join kernel.
+      const WindowGrid::Fold fold =
+          grid.FoldCounters(part_sum, join_sum, /*launches=*/1);
+      const double t_part = gpu.cost_model().Seconds(fold.part) +
+                            gpu.platform().gpu.stream_sync_overhead;
+      const double t_join = gpu.cost_model().Seconds(fold.join);
+      if (config.overlap && grid.n_full > 1) {
         // Two CUDA streams: window t's partition overlaps window t-1's
         // join (Sec. 5.1).
         result.seconds = t_part +
-                         static_cast<double>(n_full - 1) *
+                         static_cast<double>(grid.n_full - 1) *
                              std::max(t_part, t_join) +
                          t_join;
       } else {
-        result.seconds = static_cast<double>(n_full) * (t_part + t_join);
+        result.seconds =
+            static_cast<double>(grid.n_full) * (t_part + t_join);
       }
-      result.counters = part_avg.Scaled(static_cast<double>(n_full));
-      result.counters += join_avg.Scaled(static_cast<double>(n_full));
-      // Each window launches one partition and one join kernel.
-      result.counters.kernel_launches = 2 * n_full;
+      result.counters = fold.total;
       result.AddStage("partition/window", t_part);
       result.AddStage("join/window", t_join);
-
-      // Degradation events extrapolate like the counters: per-window
-      // tuple counts by window_scale, window counts by n_full/n_sim.
-      const double window_factor =
-          static_cast<double>(n_full) / static_cast<double>(n_sim);
-      result.spilled_tuples =
-          ScaleStat(stats.spilled_tuples, window_scale * window_factor);
-      result.spill_buckets =
-          ScaleStat(stats.spill_buckets, window_scale * window_factor);
-      result.degraded_windows =
-          ScaleStat(stats.degraded_windows, window_factor);
-      result.fallback_windows =
-          ScaleStat(stats.fallback_windows, window_factor);
+      grid.ScaleStats(stats, &result);
       break;
     }
   }
 
-  result.result_tuples = static_cast<uint64_t>(
-      std::llround(static_cast<double>(matches) * scale));
+  result.result_tuples = sim::ScaleCount(matches, scale);
   return result;
 }
 

@@ -7,15 +7,10 @@
 #include "core/index_factory.h"
 #include "core/join_kernel.h"
 #include "sim/phase.h"
-#include "util/bit_util.h"
 
 namespace gpujoin::dist {
 
 namespace {
-
-uint64_t ScaleStat(uint64_t v, double f) {
-  return static_cast<uint64_t>(std::llround(static_cast<double>(v) * f));
-}
 
 uint64_t HostBytes(const sim::CounterSet& c) {
   return c.host_random_read_bytes + c.host_seq_read_bytes +
@@ -129,33 +124,12 @@ Status ShardScheduler::Build() {
   if (!plan.ok()) return plan.status();
   plan_ = *std::move(plan);
 
-  // The window grid. Per device the formulas are the batch pipeline's
-  // (core/inlj.cc) — every device has a window capacity of w_full_
-  // tuples, sized down for multiple shards only so the aggregate
-  // full-scale window never exceeds |S| (the single-device pipeline
-  // clamps the same way). One global window is num_shards devices
-  // filling their windows at once; with one shard everything below
-  // reduces to the batch grid exactly.
-  const uint64_t shards = dcfg_.num_shards;
-  const double scale = s_.scale();
-  const uint64_t sample = s_.sample_size();
-  w_full_ = std::min(cfg_.inlj.window_tuples,
-                     bits::CeilDiv(cfg_.s_tuples, shards));
-  w_dev_ = std::min(w_full_, sample);
-  if (s_.scheme == workload::SampleScheme::kRangeRestricted) {
-    w_dev_ = std::clamp<uint64_t>(
-        static_cast<uint64_t>(
-            std::llround(static_cast<double>(w_full_) / scale)),
-        32, sample);
-  }
-  // A simulated global window must fit in the sample; shrink the device
-  // window so all shards' shares stay full-density.
-  w_dev_ = std::max<uint64_t>(1, std::min(w_dev_, sample / shards));
-  window_scale_ =
-      static_cast<double>(w_full_) / static_cast<double>(w_dev_);
-  stride_ = shards * w_dev_;
-  n_sim_ = bits::CeilDiv(sample, stride_);
-  n_full_ = bits::CeilDiv(cfg_.s_tuples, shards * w_full_);
+  // The window grid: the batch pipeline's, one device per shard. The
+  // clamp follows the sample, so only an explicit range-restricted
+  // override reaches it.
+  grid_ = core::WindowGrid::Make(cfg_.s_tuples, s_.sample_size(),
+                                 cfg_.inlj.window_tuples, dcfg_.num_shards,
+                                 core::WindowGrid::ClampOf(s_));
 
   for (int i = 0; i < dcfg_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>(options);
@@ -270,27 +244,26 @@ void ShardScheduler::EnableObservability() {
   }
 }
 
-std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteSlice(
-    uint64_t begin, uint64_t count, bool serving) {
+std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteRows(
+    const RowSet& rows, bool from_front) {
   const int n = num_shards();
   const workload::Key* keys = s_.keys.data().data();
 
   std::vector<uint64_t> cnt(n, 0);
   if (n == 1) {
-    cnt[0] = count;
+    cnt[0] = rows.count;
   } else {
-    for (uint64_t i = begin; i < begin + count; ++i) {
-      ++cnt[plan_.OwnerOf(keys[i])];
+    for (uint64_t i = 0; i < rows.count; ++i) {
+      ++cnt[plan_.OwnerOf(keys[rows[i]])];
     }
   }
 
   std::vector<SliceRef> slices(n);
   for (int i = 0; i < n; ++i) {
     Shard& shard = *shards_[i];
-    // The serving path reuses the buffers forever: wrap to the front
-    // when the tail can't hold this slice (RunWindow needs a contiguous
-    // range; a slice never exceeds the capacity).
-    if (serving && shard.cursor + cnt[i] > shard.s.sample_size()) {
+    // RunWindow needs a contiguous range; rows never exceed the
+    // capacity (the whole sample).
+    if (from_front || shard.cursor + cnt[i] > shard.s.sample_size()) {
       shard.cursor = 0;
     }
     slices[i] = {shard.cursor, cnt[i]};
@@ -301,11 +274,12 @@ std::vector<ShardScheduler::SliceRef> ShardScheduler::RouteSlice(
 
   std::vector<uint64_t> write_at(n);
   for (int i = 0; i < n; ++i) write_at[i] = slices[i].start;
-  for (uint64_t i = begin; i < begin + count; ++i) {
-    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[i]);
+  for (uint64_t i = 0; i < rows.count; ++i) {
+    const uint64_t row = rows[i];
+    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[row]);
     Shard& shard = *shards_[owner];
-    shard.row_map[write_at[owner]] = i;
-    shard.s.keys[write_at[owner]++] = keys[i];
+    shard.row_map[write_at[owner]] = row;
+    shard.s.keys[write_at[owner]++] = keys[row];
   }
   for (int i = 0; i < n; ++i) {
     shards_[i]->cursor = slices[i].start + cnt[i];
@@ -343,7 +317,7 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       load[i] = static_cast<double>(remaining[i]) * rate[i];
     }
     uint64_t bucket = dcfg_.steal.bucket_tuples;
-    if (bucket == 0) bucket = std::max<uint64_t>(256, w_dev_ / 2);
+    if (bucket == 0) bucket = std::max<uint64_t>(256, grid_.w_dev / 2);
     // Greedy rebalance, bounded: peel buckets off the most loaded
     // shard's tail onto the least loaded one while it shortens the
     // window's critical path.
@@ -390,10 +364,10 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
   // launch and sync — the cost that makes routed-count skew hurt).
   std::vector<std::vector<Chunk>> chunks(n);
   auto emit = [this, &chunks](const Chunk& c) {
-    for (uint64_t off = 0; off < c.count; off += w_dev_) {
+    for (uint64_t off = 0; off < c.count; off += grid_.w_dev) {
       Chunk piece = c;
       piece.start = c.start + off;
-      piece.count = std::min(w_dev_, c.count - off);
+      piece.count = std::min(grid_.w_dev, c.count - off);
       chunks[c.owner].push_back(piece);
     }
   };
@@ -500,7 +474,6 @@ Result<core::WindowRun> ShardScheduler::RunChunkOnShard(
 
 Result<double> ShardScheduler::ExecuteWindow(
     const std::vector<std::vector<Chunk>>& chunks, uint64_t ordinal,
-    util::ThreadPool* pool,
     std::vector<std::vector<core::JoinMatch>>* collect_shards,
     std::vector<uint64_t>* host_bytes_by_link,
     std::vector<uint64_t>* window_matches) {
@@ -513,8 +486,8 @@ Result<double> ShardScheduler::ExecuteWindow(
   // and results do not depend on the thread count.
   for (int i = 0; i < n; ++i) {
     if (chunks[i].empty()) continue;
-    pool->Submit([this, i, ordinal, &chunks, &results, &statuses,
-                  collect_shards] {
+    pool_->Submit([this, i, ordinal, &chunks, &results, &statuses,
+                   collect_shards] {
       Shard& shard = *shards_[i];
       for (const Chunk& chunk : chunks[i]) {
         Result<core::WindowRun> run = RunChunkOnShard(
@@ -535,7 +508,7 @@ Result<double> ShardScheduler::ExecuteWindow(
       }
     });
   }
-  Status pool_status = pool->Wait();
+  Status pool_status = pool_->Wait();
   if (!pool_status.ok()) return pool_status;
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
@@ -563,7 +536,7 @@ Result<double> ShardScheduler::ExecuteWindow(
       shard.join_sum += cr.join.counters;
       shard.stats += cr.stats;
       shard.out.matches += cr.matches;
-      if (window_matches != nullptr) (*window_matches)[v] += cr.matches;
+      (*window_matches)[v] += cr.matches;
       if (cr.chunk.thief == v) {
         own_seconds[v] += cr.seconds;
         own_tuples[v] += cr.chunk.count;
@@ -787,46 +760,23 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
   std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
   double makespan_sim = 0;
 
-  for (uint64_t w = 0; w < n_sim_; ++w) {
-    if (fault_timeline_ != nullptr) {
-      // Window-boundary health check: shards whose terminal fault began
-      // before this window are declared dead now and their key ranges
-      // fail over before any chunk is planned.
-      Result<double> stall = CheckHealth(clock_);
-      if (!stall.ok()) return stall.status();
-      makespan_sim += *stall;
-      clock_ += *stall;
-    }
-
-    const uint64_t begin = w * stride_;
-    const uint64_t count = std::min(stride_, sample - begin);
-    std::vector<SliceRef> slices =
-        RouteSlice(begin, count, /*serving=*/false);
-    std::vector<std::vector<Chunk>> chunks =
-        PlanChunks(slices, &out.steal_events);
-    RoutePlans(&chunks);
-
-    std::vector<std::vector<core::JoinMatch>> window_collect;
-    if (collect != nullptr) window_collect.resize(n);
-    Result<double> wall = ExecuteWindow(
-        chunks, w, pool_.get(),
-        collect != nullptr ? &window_collect : nullptr, &link_bytes,
-        nullptr);
-    if (!wall.ok()) return wall.status();
-    makespan_sim += *wall;
-    clock_ += *wall;
-
-    if (collect != nullptr) AppendGlobalMatches(window_collect, collect);
+  for (uint64_t w = 0; w < grid_.n_sim; ++w) {
+    const uint64_t begin = w * grid_.stride;
+    const uint64_t count = std::min(grid_.stride, sample - begin);
+    Result<WindowOutcome> window =
+        RunRoutedWindow({.begin = begin, .count = count},
+                        /*from_front=*/false, w, collect, &link_bytes);
+    if (!window.ok()) return window.status();
+    // One add per clock advance, in clock order.
+    makespan_sim += window->stall;
+    makespan_sim += window->wall;
+    out.steal_events += window->steal_events;
   }
 
-  // Per-shard counter extrapolation, replicating the single-device
-  // windowed path field for field (core/inlj.cc). The only
-  // generalization: a shard that serialized several device windows per
-  // global window keeps that many kernel launches per window.
-  const double to_one_window =
-      window_scale_ / static_cast<double>(n_sim_);
-  const double window_factor =
-      static_cast<double>(n_full_) / static_cast<double>(n_sim_);
+  // Per-shard counter extrapolation, the single-device windowed path's
+  // fold. The only generalization: a shard that serialized several
+  // device windows per global window keeps that many kernel launches
+  // per window.
   uint64_t matches_total = 0;
   core::WindowStats stats_total;
   std::vector<uint64_t> result_bytes(n, 0);
@@ -835,22 +785,15 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
     const uint64_t launches = std::max<uint64_t>(
         1, static_cast<uint64_t>(std::llround(
                static_cast<double>(shard.chunks_run) /
-               static_cast<double>(n_sim_))));
-    sim::CounterSet part_avg = shard.part_sum.Scaled(to_one_window);
-    sim::CounterSet join_avg = shard.join_sum.Scaled(to_one_window);
-    part_avg.kernel_launches = launches;
-    join_avg.kernel_launches = launches;
-    sim::CounterSet shard_counters =
-        part_avg.Scaled(static_cast<double>(n_full_));
-    shard_counters += join_avg.Scaled(static_cast<double>(n_full_));
-    shard_counters.kernel_launches = 2 * launches * n_full_;
-    shard.out.counters = shard_counters;
-    out.run.counters += shard_counters;
+               static_cast<double>(grid_.n_sim))));
+    shard.out.counters =
+        grid_.FoldCounters(shard.part_sum, shard.join_sum, launches).total;
+    out.run.counters += shard.out.counters;
 
     matches_total += shard.out.matches;
     stats_total += shard.stats;
     result_bytes[i] =
-        ScaleStat(shard.out.matches, scale) * 16;  // 16 B per match
+        sim::ScaleCount(shard.out.matches, scale) * 16;  // 16 B per match
     if (shard.timeline != nullptr) {
       shard.out.phase_spans = shard.timeline->Spans();
     }
@@ -860,7 +803,7 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
     out.shards.push_back(shard.out);
   }
 
-  const double extrap = window_scale_ * window_factor;
+  const double extrap = grid_.extrapolation();
   out.sim_makespan = makespan_sim;
   if (fault_timeline_ != nullptr) out.robustness = robustness_;
   out.merge_seconds = MergeSeconds(result_bytes);
@@ -868,22 +811,15 @@ Result<ShardedRunResult> ShardScheduler::RunJoin(
                   "_x" + std::to_string(n);
   out.run.probe_tuples = s_.full_size;
   out.run.seconds = makespan_sim * extrap + out.merge_seconds;
-  out.run.result_tuples = ScaleStat(matches_total, scale);
-  out.run.spilled_tuples =
-      ScaleStat(stats_total.spilled_tuples, window_scale_ * window_factor);
-  out.run.spill_buckets =
-      ScaleStat(stats_total.spill_buckets, window_scale_ * window_factor);
-  out.run.degraded_windows =
-      ScaleStat(stats_total.degraded_windows, window_factor);
-  out.run.fallback_windows =
-      ScaleStat(stats_total.fallback_windows, window_factor);
+  out.run.result_tuples = sim::ScaleCount(matches_total, scale);
+  grid_.ScaleStats(stats_total, &out.run);
   out.run.AddStage("shards/windows", makespan_sim * extrap);
   out.run.AddStage("merge", out.merge_seconds);
 
   for (size_t l = 0; l < topo_.links().size(); ++l) {
     LinkStats ls;
     ls.name = topo_.links()[l].name;
-    ls.bytes = ScaleStat(link_bytes[l], extrap);
+    ls.bytes = sim::ScaleCount(link_bytes[l], extrap);
     if (out.run.seconds > 0) {
       ls.utilization = static_cast<double>(ls.bytes) /
                        (topo_.links()[l].seq_bandwidth * out.run.seconds);
@@ -911,70 +847,53 @@ Result<ShardScheduler::RowBatchResult> ShardScheduler::ExecuteRowBatch(
           std::to_string(rows[i]) + " >= " + std::to_string(sample) + ")");
     }
   }
+  // Each batch window overwrites the last one's keys.
+  std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
+  Result<WindowOutcome> window =
+      RunRoutedWindow({.ids = rows, .count = count}, /*from_front=*/true,
+                      ordinal, collect, &link_bytes);
+  if (!window.ok()) return window.status();
+  RowBatchResult out;
+  out.seconds = window->stall + window->wall;
+  out.steal_events = window->steal_events;
+  for (uint64_t m : window->matches) out.matches += m;
+  return out;
+}
+
+Result<ShardScheduler::WindowOutcome> ShardScheduler::RunRoutedWindow(
+    const RowSet& rows, bool from_front, uint64_t ordinal,
+    std::vector<core::JoinMatch>* collect,
+    std::vector<uint64_t>* link_bytes) {
   if (shards_[0]->joiner == nullptr) {
     Status st = CreateJoiners();
     if (!st.ok()) return st;
   }
-
-  const int n = num_shards();
-  double stall = 0;
+  WindowOutcome out;
   if (fault_timeline_ != nullptr) {
-    Result<double> s = CheckHealth(clock_);
-    if (!s.ok()) return s.status();
-    stall = *s;
-    clock_ += stall;
+    // Window-boundary health check: shards whose terminal fault began
+    // before this window are declared dead now and their key ranges
+    // fail over before any chunk is planned.
+    Result<double> stall = CheckHealth(clock_);
+    if (!stall.ok()) return stall.status();
+    out.stall = *stall;
+    clock_ += out.stall;
   }
-
-  // Route the row set into the shards' probe buffers from the front:
-  // each batch window overwrites the last one's keys, and the per-call
-  // row map keeps local buffer indices mapping back to global rows.
-  // Capacity is the whole sample, so any row set fits.
-  const workload::Key* keys = s_.keys.data().data();
-  std::vector<uint64_t> cnt(n, 0);
-  if (n == 1) {
-    cnt[0] = count;
-  } else {
-    for (uint64_t i = 0; i < count; ++i) {
-      ++cnt[plan_.OwnerOf(keys[rows[i]])];
-    }
-  }
-  std::vector<SliceRef> slices(n);
-  std::vector<uint64_t> write_at(n, 0);
-  for (int i = 0; i < n; ++i) {
-    slices[i] = {0, cnt[i]};
-    shards_[i]->row_map.clear();
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t row = rows[i];
-    const int owner = n == 1 ? 0 : plan_.OwnerOf(keys[row]);
-    Shard& shard = *shards_[owner];
-    shard.s.keys[write_at[owner]++] = keys[row];
-    shard.row_map.push_back(row);
-  }
-  for (int i = 0; i < n; ++i) {
-    shards_[i]->cursor = cnt[i];
-    shards_[i]->out.tuples_routed += cnt[i];
-  }
-
-  RowBatchResult out;
   std::vector<std::vector<Chunk>> chunks =
-      PlanChunks(slices, &out.steal_events);
+      PlanChunks(RouteRows(rows, from_front), &out.steal_events);
   RoutePlans(&chunks);
 
-  std::vector<std::vector<core::JoinMatch>> window_collect;
-  if (collect != nullptr) window_collect.resize(n);
-  std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
-  std::vector<uint64_t> window_matches(n, 0);
-  Result<double> wall = ExecuteWindow(
-      chunks, ordinal, pool_.get(),
-      collect != nullptr ? &window_collect : nullptr, &link_bytes,
-      &window_matches);
+  const int n = num_shards();
+  std::vector<std::vector<core::JoinMatch>> shard_collect;
+  if (collect != nullptr) shard_collect.resize(n);
+  out.matches.assign(n, 0);
+  Result<double> wall =
+      ExecuteWindow(chunks, ordinal,
+                    collect != nullptr ? &shard_collect : nullptr,
+                    link_bytes, &out.matches);
   if (!wall.ok()) return wall.status();
-  if (fault_timeline_ != nullptr) clock_ += *wall;
-
-  if (collect != nullptr) AppendGlobalMatches(window_collect, collect);
-  for (uint64_t m : window_matches) out.matches += m;
-  out.seconds = stall + *wall;
+  out.wall = *wall;
+  if (fault_timeline_ != nullptr) clock_ += out.wall;
+  if (collect != nullptr) AppendGlobalMatches(shard_collect, collect);
   return out;
 }
 
@@ -1026,42 +945,18 @@ Result<double> ShardScheduler::ServiceSliceCollect(
   if (begin + count > s_.sample_size()) {
     return Status::InvalidArgument("slice exceeds the probe sample");
   }
-  if (shards_[0]->joiner == nullptr) {
-    Status st = CreateJoiners();
-    if (!st.ok()) return st;
-  }
-
-  const int n = num_shards();
-  double detection_stall = 0;
-  if (fault_timeline_ != nullptr) {
-    Result<double> stall = CheckHealth(clock_);
-    if (!stall.ok()) return stall.status();
-    detection_stall = *stall;
-    clock_ += detection_stall;
-  }
-  std::vector<SliceRef> slices = RouteSlice(begin, count, /*serving=*/true);
-  uint64_t steal_events = 0;
-  std::vector<std::vector<Chunk>> chunks = PlanChunks(slices, &steal_events);
-  RoutePlans(&chunks);
-
-  std::vector<std::vector<core::JoinMatch>> slice_collect;
-  if (collect != nullptr) slice_collect.resize(n);
   std::vector<uint64_t> link_bytes(topo_.links().size(), 0);
-  std::vector<uint64_t> slice_matches(n, 0);
-  Result<double> wall = ExecuteWindow(
-      chunks, ordinal, pool_.get(),
-      collect != nullptr ? &slice_collect : nullptr, &link_bytes,
-      &slice_matches);
-  if (!wall.ok()) return wall.status();
-  if (fault_timeline_ != nullptr) clock_ += *wall;
-  if (collect != nullptr) AppendGlobalMatches(slice_collect, collect);
+  Result<WindowOutcome> window =
+      RunRoutedWindow({.begin = begin, .count = count}, /*from_front=*/false,
+                      ordinal, collect, &link_bytes);
+  if (!window.ok()) return window.status();
 
   // Serving works at sample scale (like the single-device server): the
   // batch's results merge at the coordinator before the response goes
   // out.
-  std::vector<uint64_t> result_bytes(n, 0);
-  for (int i = 0; i < n; ++i) result_bytes[i] = slice_matches[i] * 16;
-  return detection_stall + *wall + MergeSeconds(result_bytes);
+  std::vector<uint64_t> result_bytes = window->matches;
+  for (uint64_t& bytes : result_bytes) bytes *= 16;
+  return window->stall + window->wall + MergeSeconds(result_bytes);
 }
 
 }  // namespace gpujoin::dist

@@ -8,6 +8,7 @@
 
 #include "core/experiment.h"
 #include "core/match.h"
+#include "core/window_grid.h"
 #include "core/window_join.h"
 #include "dist/shard_planner.h"
 #include "dist/topology.h"
@@ -162,10 +163,12 @@ struct ShardedRunResult {
 // Determinism: routing and steal planning happen on the calling thread
 // before a window is dispatched; worker tasks touch only their own
 // shard's structures; and all folding happens in shard order after the
-// window barrier — results are bit-identical for any thread count. With
-// num_shards == 1 the window grid, RunWindow calls and counter
-// extrapolation reproduce core::IndexNestedLoopJoin's windowed path
-// exactly (regression-tested bit-identical).
+// window barrier — results are bit-identical for any thread count. The
+// window grid, the counter fold and the stats scale-back are
+// core::WindowGrid's, the batch pipeline's own, built with num_shards
+// devices: with one shard the engine reproduces
+// core::IndexNestedLoopJoin's windowed path by construction
+// (regression-tested bit-identical).
 class ShardScheduler final : public serve::WindowBackend {
  public:
   // Builds the shards for `cfg` (same workload/index/fault parameters as
@@ -222,7 +225,7 @@ class ShardScheduler final : public serve::WindowBackend {
       std::vector<core::JoinMatch>* collect);
 
   // Sample-scale counter sum over all shards since the last reset —
-  // the cluster layer extrapolates these with its own window grid.
+  // the cluster layer extrapolates these on its own window grid.
   sim::CounterSet sample_counters() const;
 
   // The shard's phase spans so far (empty without EnableObservability);
@@ -335,16 +338,47 @@ class ShardScheduler final : public serve::WindowBackend {
   util::Ewma SeededRateEstimator() const {
     return util::Ewma(0.5,
                       cfg_.platform.gpu.stream_sync_overhead /
-                          static_cast<double>(w_dev_),
+                          static_cast<double>(grid_.w_dev),
                       /*warmup=*/2);
   }
 
-  // Routes s_[begin, begin+count) into the shards' probe buffers and
-  // records each buffer position's global row in the shard's row map
-  // (for match remapping). `serving` wraps each shard's cursor
-  // cyclically: the serving path reuses the buffers forever.
-  std::vector<SliceRef> RouteSlice(uint64_t begin, uint64_t count,
-                                   bool serving);
+  // Global probe rows to route: ids[0..count) when `ids` is non-null,
+  // else the contiguous slice begin..begin+count.
+  struct RowSet {
+    const uint64_t* ids = nullptr;
+    uint64_t begin = 0;
+    uint64_t count = 0;
+    uint64_t operator[](uint64_t i) const {
+      return ids != nullptr ? ids[i] : begin + i;
+    }
+  };
+
+  // Routes `rows` into the shards' probe buffers and records each
+  // buffer position's global row in the shard's row map (for match
+  // remapping). Rows land at each shard's cursor, which wraps to the
+  // front when the tail cannot hold them: the serving path reuses the
+  // buffers forever, while a batch run routes at most the sample into
+  // each buffer and never wraps. `from_front` places them at the front
+  // instead, overwriting the previous row batch.
+  std::vector<SliceRef> RouteRows(const RowSet& rows, bool from_front);
+
+  // One routed window's outcome.
+  struct WindowOutcome {
+    double stall = 0;  // detection stall before the window
+    double wall = 0;   // the window's wall, re-execution included
+    uint64_t steal_events = 0;
+    std::vector<uint64_t> matches;  // per shard
+  };
+
+  // Runs `rows` as one window, whether a batch grid window, a serving
+  // slice or a cluster row batch: joiners on first use, the health
+  // check, routing, chunk planning and execution. Per-link bytes add to
+  // `link_bytes`; a non-null `collect` receives the matches with global
+  // rows.
+  Result<WindowOutcome> RunRoutedWindow(
+      const RowSet& rows, bool from_front, uint64_t ordinal,
+      std::vector<core::JoinMatch>* collect,
+      std::vector<uint64_t>* link_bytes);
 
   // Plans this window's chunks (work stealing when enabled); returns
   // per-victim chunk lists in execution order.
@@ -374,12 +408,10 @@ class ShardScheduler final : public serve::WindowBackend {
   // Runs the planned chunks concurrently (one task per shard that owns
   // work) and folds charged per-shard times, contention and link bytes.
   // Returns the window's wall time (max over shards). `collect_shards`
-  // receives per-shard matches when non-null.
-  // `window_matches` (optional) receives per-shard match counts for the
-  // serving path's merge accounting.
+  // receives per-shard matches when non-null; `window_matches` adds
+  // per-shard match counts.
   Result<double> ExecuteWindow(
       const std::vector<std::vector<Chunk>>& chunks, uint64_t ordinal,
-      util::ThreadPool* pool,
       std::vector<std::vector<core::JoinMatch>>* collect_shards,
       std::vector<uint64_t>* host_bytes_by_link,
       std::vector<uint64_t>* window_matches);
@@ -424,18 +456,10 @@ class ShardScheduler final : public serve::WindowBackend {
   Topology topo_;
   ShardPlan plan_;
 
-  // The window grid (fixed per engine, derived in Build): every device
-  // has a window capacity of `w_full_` probe tuples (`w_dev_` simulated),
-  // so one *global* window strides num_shards * w_dev_ tuples of the
-  // sample. A shard routed more than w_dev_ tuples in a global window
-  // serializes extra device windows — the scale-out skew penalty. With
-  // one shard this degenerates to exactly the batch pipeline's grid.
-  uint64_t w_full_ = 0;         // device window, full scale
-  uint64_t w_dev_ = 0;          // device window, simulated scale
-  uint64_t stride_ = 0;         // global window stride over the sample
-  uint64_t n_sim_ = 0;          // simulated global windows
-  uint64_t n_full_ = 0;         // full-scale global windows
-  double window_scale_ = 1;     // w_full_ / w_dev_
+  // The window grid, one device per shard (built in Build). A shard
+  // routed more than grid_.w_dev tuples in a global window serializes
+  // extra device windows — the scale-out skew penalty.
+  core::WindowGrid grid_;
 
   // The coordinator-side base workload: R (procedural, shared read-only
   // by the router) and the probe sample the windows slice.

@@ -1,6 +1,5 @@
 #include "sim/counters.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "util/units.h"
@@ -8,10 +7,6 @@
 namespace gpujoin::sim {
 
 namespace {
-uint64_t ScaleCounter(uint64_t v, double f) {
-  return static_cast<uint64_t>(std::llround(static_cast<double>(v) * f));
-}
-
 // Saturating subtraction: counter deltas are meant to be taken between a
 // later and an earlier snapshot of the same monotone counters, where
 // lhs >= rhs always holds and the clamp never fires. When callers compare
@@ -86,29 +81,29 @@ CounterSet CounterSet::operator-(const CounterSet& o) const {
 
 CounterSet CounterSet::Scaled(double f) const {
   CounterSet r;
-  r.host_random_read_bytes = ScaleCounter(host_random_read_bytes, f);
-  r.host_seq_read_bytes = ScaleCounter(host_seq_read_bytes, f);
-  r.host_write_bytes = ScaleCounter(host_write_bytes, f);
-  r.translation_requests = ScaleCounter(translation_requests, f);
-  r.tlb_hits = ScaleCounter(tlb_hits, f);
-  r.hbm_read_bytes = ScaleCounter(hbm_read_bytes, f);
-  r.hbm_write_bytes = ScaleCounter(hbm_write_bytes, f);
-  r.l1_hits = ScaleCounter(l1_hits, f);
-  r.l2_hits = ScaleCounter(l2_hits, f);
-  r.l2_misses = ScaleCounter(l2_misses, f);
-  r.warp_steps = ScaleCounter(warp_steps, f);
-  r.memory_transactions = ScaleCounter(memory_transactions, f);
+  r.host_random_read_bytes = ScaleCount(host_random_read_bytes, f);
+  r.host_seq_read_bytes = ScaleCount(host_seq_read_bytes, f);
+  r.host_write_bytes = ScaleCount(host_write_bytes, f);
+  r.translation_requests = ScaleCount(translation_requests, f);
+  r.tlb_hits = ScaleCount(tlb_hits, f);
+  r.hbm_read_bytes = ScaleCount(hbm_read_bytes, f);
+  r.hbm_write_bytes = ScaleCount(hbm_write_bytes, f);
+  r.l1_hits = ScaleCount(l1_hits, f);
+  r.l2_hits = ScaleCount(l2_hits, f);
+  r.l2_misses = ScaleCount(l2_misses, f);
+  r.warp_steps = ScaleCount(warp_steps, f);
+  r.memory_transactions = ScaleCount(memory_transactions, f);
   // Launches are per-kernel fixed costs, not per-tuple work: keep as-is.
   r.kernel_launches = kernel_launches;
-  r.serial_dependent_loads = ScaleCounter(serial_dependent_loads, f);
-  r.faults_injected = ScaleCounter(faults_injected, f);
-  r.translation_timeouts = ScaleCounter(translation_timeouts, f);
-  r.remote_read_errors = ScaleCounter(remote_read_errors, f);
-  r.degradation_episodes = ScaleCounter(degradation_episodes, f);
-  r.alloc_faults = ScaleCounter(alloc_faults, f);
-  r.fault_retries = ScaleCounter(fault_retries, f);
-  r.fault_backoff_nanos = ScaleCounter(fault_backoff_nanos, f);
-  r.degraded_host_bytes = ScaleCounter(degraded_host_bytes, f);
+  r.serial_dependent_loads = ScaleCount(serial_dependent_loads, f);
+  r.faults_injected = ScaleCount(faults_injected, f);
+  r.translation_timeouts = ScaleCount(translation_timeouts, f);
+  r.remote_read_errors = ScaleCount(remote_read_errors, f);
+  r.degradation_episodes = ScaleCount(degradation_episodes, f);
+  r.alloc_faults = ScaleCount(alloc_faults, f);
+  r.fault_retries = ScaleCount(fault_retries, f);
+  r.fault_backoff_nanos = ScaleCount(fault_backoff_nanos, f);
+  r.degraded_host_bytes = ScaleCount(degraded_host_bytes, f);
   return r;
 }
 

@@ -1,6 +1,7 @@
 #ifndef GPUJOIN_SIM_COUNTERS_H_
 #define GPUJOIN_SIM_COUNTERS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -81,6 +82,12 @@ struct CounterSet {
 
   std::string ToString() const;
 };
+
+// Scales a sample-scale count by `factor`, rounded to nearest: how
+// counters and run stats extrapolate to the full workload.
+inline uint64_t ScaleCount(uint64_t v, double factor) {
+  return static_cast<uint64_t>(std::llround(static_cast<double>(v) * factor));
+}
 
 }  // namespace gpujoin::sim
 

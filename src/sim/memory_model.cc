@@ -297,11 +297,6 @@ void MemoryModel::RemoveObserver(AccessObserver* observer) {
       observers_.end());
 }
 
-void MemoryModel::SetObserver(AccessObserver* observer) {
-  observers_.clear();
-  AddObserver(observer);
-}
-
 void MemoryModel::ClearHardwareState() {
   l1_.Clear();
   l2_.Clear();

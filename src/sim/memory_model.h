@@ -89,9 +89,6 @@ class MemoryModel {
   // nullptr or an already-attached observer is a no-op.
   void AddObserver(AccessObserver* observer);
   void RemoveObserver(AccessObserver* observer);
-  // Single-observer convenience (pre-fan-out API): detaches every
-  // observer, then attaches `observer` (nullptr just detaches all).
-  void SetObserver(AccessObserver* observer);
   size_t observer_count() const { return observers_.size(); }
 
   // Attaches the receiver of pipeline phase marks (see sim/phase.h); pass

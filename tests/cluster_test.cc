@@ -530,6 +530,63 @@ TEST(ClusterSchedulerTest, SimulatedOutputIsPinned) {
   }
 }
 
+// A 1-node cluster that one add-node event at t = 0 keeps from
+// delegating to its engine, over an explicit range-restricted sample.
+// The cluster's window grid takes no range-restricted clamp: it keeps
+// 8 global windows of 2 x 4,096 sample rows (the node engine clamps
+// its own device windows to 32 rows). The sample covers only low keys,
+// so node 0 keeps all of them after the joiner takes the upper cells.
+TEST(ClusterSchedulerTest, RangeRestrictedElasticRunIsPinned) {
+  core::ExperimentConfig cfg = MultiWindowConfig();
+  cfg.sample_scheme =
+      core::ExperimentConfig::SampleSchemeOverride::kRangeRestricted;
+  cluster::ClusterConfig ccfg;
+  ccfg.num_nodes = 1;
+  ccfg.gpus_per_node = 2;
+  ccfg.network = cluster::NetworkKind::kInfiniBand;
+  ccfg.membership.push_back(
+      {cluster::MembershipEvent::Kind::kAddNode, -1, 0.0});
+  const auto run = MustRun(cfg, ccfg);
+
+  EXPECT_EQ(run.run.seconds, 0x1.dce895998f933p+3)
+      << std::hexfloat << run.run.seconds;
+  EXPECT_EQ(run.sim_makespan, 0x1.dcdc8088e88fdp-5)
+      << std::hexfloat << run.sim_makespan;
+  EXPECT_EQ(run.merge_seconds, 0x0p+0) << std::hexfloat << run.merge_seconds;
+  EXPECT_EQ(run.steal_events, 80u);
+  const sim::CounterSet counters = {
+      .host_random_read_bytes = 5766807552u,
+      .host_seq_read_bytes = 134217728u,
+      .translation_requests = 1024u,
+      .tlb_hits = 45576448u,
+      .hbm_read_bytes = 4831838208u,
+      .hbm_write_bytes = 9261023232u,
+      .l1_hits = 85219328u,
+      .l2_misses = 45053184u,
+      .warp_steps = 7340032u,
+      .memory_transactions = 135515392u,
+      .kernel_launches = 4096u};
+  EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
+
+  struct PinnedNode {
+    uint64_t r_tuples;
+    uint64_t tuples_routed;
+    double busy_seconds;
+  };
+  const PinnedNode nodes[] = {
+      {1048576u, 65536u, 0x1.dcdc8088e88fdp-5},
+      {1048576u, 0u, 0x0p+0},
+  };
+  ASSERT_EQ(run.nodes.size(), std::size(nodes));
+  for (size_t n = 0; n < std::size(nodes); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    EXPECT_EQ(run.nodes[n].r_tuples, nodes[n].r_tuples);
+    EXPECT_EQ(run.nodes[n].tuples_routed, nodes[n].tuples_routed);
+    EXPECT_EQ(run.nodes[n].busy_seconds, nodes[n].busy_seconds)
+        << std::hexfloat << run.nodes[n].busy_seconds;
+  }
+}
+
 TEST(ClusterSchedulerTest, EthernetIsSlowerThanInfiniBand) {
   core::ExperimentConfig cfg = ClusterExpConfig();
   cluster::ClusterConfig ib;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <memory>
+#include <optional>
 
 #include "core/experiment.h"
 #include "core/inlj.h"
+#include "core/window_grid.h"
 #include "index/binary_search.h"
 #include "index/radix_spline.h"
 #include "mem/address_space.h"
@@ -228,6 +231,105 @@ TEST(Experiment, WindowedInljSimulatedOutputIsPinned) {
   EXPECT_TRUE(res.counters == expected)
       << "got      " << res.counters.ToString() << "\nexpected "
       << expected.ToString();
+}
+
+// Window grids worked out by hand, one device for core's windowed INLJ,
+// one per shard for dist and one per GPU for the cluster. The factors
+// are compared bit for bit.
+TEST(WindowGrid, GridsMatchTheFormulasTheyReplace) {
+  struct Case {
+    const char* name;
+    uint64_t full_size, sample, window_tuples, devices;
+    std::optional<double> clamp_scale;
+    uint64_t w_full, w_dev, stride, n_sim, n_full;
+    double window_scale, to_one_window, window_factor, extrapolation;
+  };
+  const Case cases[] = {
+      // The pinned windowed INLJ: 32 full-scale windows, one simulated.
+      {"batch grid", 1ull << 26, 1ull << 14, 1ull << 21, 1, std::nullopt,
+       1ull << 21, 1ull << 14, 1ull << 14, 1, 32, 0x1p+7, 0x1p+7, 0x1p+5,
+       0x1p+12},
+      // A 1/256 range-restricted sample: a 4,096-tuple window simulates
+      // as 16, raised to the 32-tuple floor.
+      {"clamp, 1 device", 1ull << 24, 1ull << 16, 1ull << 12, 1, 256.0,
+       4096, 32, 32, 2048, 4096, 0x1p+7, 0x1p-4, 0x1p+1, 0x1p+8},
+      {"clamp, 4 devices", 1ull << 24, 1ull << 16, 1ull << 14, 4, 256.0,
+       16384, 64, 256, 256, 256, 0x1p+8, 0x1p+0, 0x1p+0, 0x1p+8},
+      // dist's range-restricted pin, then the cluster's call on the same
+      // sample, which takes no clamp.
+      {"clamp, 2 devices", 1ull << 24, 1ull << 16, 1ull << 12, 2, 256.0,
+       4096, 32, 64, 1024, 2048, 0x1p+7, 0x1p-3, 0x1p+1, 0x1p+8},
+      {"cluster, no clamp", 1ull << 24, 1ull << 16, 1ull << 12, 2,
+       std::nullopt, 4096, 4096, 8192, 8, 2048, 0x1p+0, 0x1p-3, 0x1p+8,
+       0x1p+8},
+      // Four devices share a 4,096-row sample: 1,024 rows each.
+      {"sample / devices shrink", 1ull << 24, 1ull << 12, 1ull << 22, 4,
+       std::nullopt, 1ull << 22, 1024, 4096, 1, 1, 0x1p+12, 0x1p+12,
+       0x1p+0, 0x1p+12},
+      // 1,000 rows over 3 devices: 333 each, and a second global window
+      // holds the one row left over.
+      {"uneven shrink", 1ull << 20, 1000, 1ull << 22, 3, std::nullopt,
+       349526, 333, 999, 2, 1, 0x1.06682b0d11ae8p+10, 0x1.06682b0d11ae8p+9,
+       0x1p-1, 0x1.06682b0d11ae8p+9},
+      // A 16-row range-restricted sample: the 32-tuple floor yields to
+      // the sample.
+      {"clamp over a tiny sample", 1ull << 24, 16, 1ull << 12, 1,
+       0x1p+20, 4096, 16, 16, 1, 4096, 0x1p+8, 0x1p+8, 0x1p+12, 0x1p+20},
+      {"window >= |S|", 1ull << 16, 1ull << 12, 1ull << 22, 1, std::nullopt,
+       1ull << 16, 1ull << 12, 1ull << 12, 1, 1, 0x1p+4, 0x1p+4, 0x1p+0,
+       0x1p+4},
+      // 10^6 / 3,000 = 333.3: the last full-scale window is partial.
+      {"|S| not a multiple", 1000000, 1ull << 14, 3000, 1, std::nullopt,
+       3000, 3000, 3000, 6, 334, 0x1p+0, 0x1.5555555555555p-3,
+       0x1.bd55555555555p+5, 0x1.bd55555555555p+5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const WindowGrid g = WindowGrid::Make(c.full_size, c.sample,
+                                          c.window_tuples, c.devices,
+                                          c.clamp_scale);
+    EXPECT_EQ(g.w_full, c.w_full);
+    EXPECT_EQ(g.w_dev, c.w_dev);
+    EXPECT_EQ(g.stride, c.stride);
+    EXPECT_EQ(g.n_sim, c.n_sim);
+    EXPECT_EQ(g.n_full, c.n_full);
+    EXPECT_EQ(g.window_scale, c.window_scale)
+        << std::hexfloat << g.window_scale;
+    EXPECT_EQ(g.to_one_window(), c.to_one_window)
+        << std::hexfloat << g.to_one_window();
+    EXPECT_EQ(g.window_factor(), c.window_factor)
+        << std::hexfloat << g.window_factor();
+    EXPECT_EQ(g.extrapolation(), c.extrapolation)
+        << std::hexfloat << g.extrapolation();
+  }
+}
+
+// The counter fold and the stats scale-back on the "|S| not a multiple"
+// grid: 6 simulated windows stand for 334.
+TEST(WindowGrid, FoldsCountersAndScalesStatsBack) {
+  const WindowGrid g =
+      WindowGrid::Make(1000000, 1ull << 14, 3000, 1, std::nullopt);
+  const sim::CounterSet part_sum = {.warp_steps = 600, .kernel_launches = 9};
+  const sim::CounterSet join_sum = {.l1_hits = 7, .kernel_launches = 9};
+  const WindowGrid::Fold fold = g.FoldCounters(part_sum, join_sum, 2);
+  EXPECT_EQ(fold.part.warp_steps, 100u);  // 600 / 6 windows
+  EXPECT_EQ(fold.part.kernel_launches, 2u);
+  EXPECT_EQ(fold.join.l1_hits, 1u);  // 7 / 6, rounded
+  EXPECT_EQ(fold.total.warp_steps, 33400u);
+  EXPECT_EQ(fold.total.l1_hits, 334u);
+  EXPECT_EQ(fold.total.kernel_launches, 2u * 2u * 334u);
+
+  WindowStats stats;
+  stats.spilled_tuples = 12;
+  stats.spill_buckets = 3;
+  stats.degraded_windows = 1;
+  stats.fallback_windows = 2;
+  sim::RunResult run;
+  g.ScaleStats(stats, &run);
+  EXPECT_EQ(run.spilled_tuples, 668u);  // 12 * 334 / 6
+  EXPECT_EQ(run.spill_buckets, 167u);
+  EXPECT_EQ(run.degraded_windows, 56u);  // 55.67, rounded
+  EXPECT_EQ(run.fallback_windows, 111u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <ios>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -350,6 +351,108 @@ TEST(ShardSchedulerTest, SimulatedOutputIsPinned) {
   ASSERT_EQ(run.links.size(), 1u);
   EXPECT_EQ(run.links[0].name, "pcie4.host");
   EXPECT_EQ(run.links[0].bytes, 313262080u);
+}
+
+// An explicit range-restricted sample covers 1/256 of R's key domain
+// at full density, so every row routes to shard 0, and it is the only
+// way into the window grid's range-restricted clamp on the sharded
+// engine: the device window shrinks from 4,096 to 32 sample tuples,
+// giving 1,024 global windows over the 2^16-row sample.
+TEST(ShardSchedulerTest, RangeRestrictedRunIsPinned) {
+  core::ExperimentConfig cfg = DistConfig();
+  cfg.s_sample = uint64_t{1} << 16;
+  cfg.inlj.window_tuples = uint64_t{1} << 12;
+  cfg.sample_scheme =
+      core::ExperimentConfig::SampleSchemeOverride::kRangeRestricted;
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 2;
+  const auto run = MustRun(cfg, dcfg);
+
+  EXPECT_EQ(run.run.seconds, 0x1.5acf8ae124fdfp+4)
+      << std::hexfloat << run.run.seconds;
+  EXPECT_EQ(run.sim_makespan, 0x1.5acf8ae124fdfp-4)
+      << std::hexfloat << run.sim_makespan;
+  EXPECT_EQ(run.merge_seconds, 0x0p+0) << std::hexfloat << run.merge_seconds;
+  const sim::CounterSet counters = {
+      .host_random_read_bytes = 5767954432u,
+      .host_seq_read_bytes = 134217728u,
+      .tlb_hits = 45586432u,
+      .hbm_read_bytes = 4831838208u,
+      .hbm_write_bytes = 9261023232u,
+      .l1_hits = 85211136u,
+      .l2_misses = 45062144u,
+      .warp_steps = 7340032u,
+      .memory_transactions = 135516160u,
+      .kernel_launches = 12288u};
+  EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
+
+  struct PinnedShard {
+    uint64_t tuples_routed;
+    uint64_t windows;
+    double busy_seconds;
+  };
+  const PinnedShard shards[] = {
+      {65536u, 1024u, 0x1.5acf8ae124fdfp-4},
+      {0u, 0u, 0x0p+0},
+  };
+  ASSERT_EQ(run.shards.size(), std::size(shards));
+  for (size_t i = 0; i < std::size(shards); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(run.shards[i].tuples_routed, shards[i].tuples_routed);
+    EXPECT_EQ(run.shards[i].windows, shards[i].windows);
+    EXPECT_EQ(run.shards[i].busy_seconds, shards[i].busy_seconds)
+        << std::hexfloat << run.shards[i].busy_seconds;
+  }
+}
+
+// Four shards under the default 2^22-tuple window: a global window of
+// four device windows would outgrow the 2^17-row sample, so each device
+// window shrinks to a quarter of it (32,768 rows). Shards routed a few
+// rows more than that serialize a second device window, which shows in
+// the launch count.
+TEST(ShardSchedulerTest, SampleSizedGlobalWindowIsPinned) {
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 4;
+  const auto run = MustRun(DistConfig(), dcfg);
+
+  EXPECT_EQ(run.run.seconds, 0x1.0f460140a599bp-5)
+      << std::hexfloat << run.run.seconds;
+  EXPECT_EQ(run.sim_makespan, 0x1.fb7e5a41e0de2p-13)
+      << std::hexfloat << run.sim_makespan;
+  EXPECT_EQ(run.merge_seconds, 0x1.186d41fb52aap-9)
+      << std::hexfloat << run.merge_seconds;
+  const sim::CounterSet counters = {
+      .host_random_read_bytes = 2354331648u,
+      .host_seq_read_bytes = 134234112u,
+      .translation_requests = 2048u,
+      .tlb_hits = 18391936u,
+      .hbm_read_bytes = 543195136u,
+      .hbm_write_bytes = 683704320u,
+      .l1_hits = 78929792u,
+      .l2_misses = 18393216u,
+      .warp_steps = 7343616u,
+      .memory_transactions = 102566528u,
+      .kernel_launches = 12u};
+  EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
+
+  struct PinnedShard {
+    uint64_t tuples_routed;
+    double busy_seconds;
+  };
+  const PinnedShard shards[] = {
+      {32810u, 0x1.fb7e5a41e0de2p-13},
+      {32861u, 0x1.ccda167c28edp-13},
+      {32719u, 0x1.570d9f9081003p-13},
+      {32682u, 0x1.55985b47197p-13},
+  };
+  ASSERT_EQ(run.shards.size(), std::size(shards));
+  for (size_t i = 0; i < std::size(shards); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(run.shards[i].tuples_routed, shards[i].tuples_routed);
+    EXPECT_EQ(run.shards[i].windows, 1u);
+    EXPECT_EQ(run.shards[i].busy_seconds, shards[i].busy_seconds)
+        << std::hexfloat << run.shards[i].busy_seconds;
+  }
 }
 
 TEST(ShardSchedulerTest, RunsAreRepeatableOnOneEngine) {

@@ -23,7 +23,7 @@ class TraceTest : public ::testing::Test {
         device_(space_.Reserve(kGiB, mem::MemKind::kDevice, "results")),
         model_(&space_, TeslaV100()),
         trace_(&space_) {
-    model_.SetObserver(&trace_);
+    model_.AddObserver(&trace_);
   }
 
   mem::AddressSpace space_;
@@ -54,7 +54,7 @@ TEST_F(TraceTest, RecordsStreams) {
 }
 
 TEST_F(TraceTest, DetachStopsRecording) {
-  model_.SetObserver(nullptr);
+  model_.RemoveObserver(&trace_);
   model_.Access(host_.base, 8, AccessType::kRead);
   EXPECT_EQ(trace_.ForRegion("base_data").transactions, 0u);
 }
@@ -79,7 +79,7 @@ TEST_F(TraceTest, ExplainsIndexLookupTraffic) {
   workload::DenseKeyColumn col(&space_, uint64_t{1} << 22);
   auto index = index::RadixSplineIndex::Build(&space_, &col);
   Gpu gpu(&space_, V100NvLink2());
-  gpu.memory().SetObserver(&trace_);
+  gpu.memory().AddObserver(&trace_);
   trace_.Reset();
 
   Xoshiro256 rng(3);
