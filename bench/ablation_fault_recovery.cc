@@ -6,8 +6,8 @@
 //
 // Two policies run the same faulty workload:
 //  * graceful  — bounded retry with backoff, spill-chained buckets,
-//    window shrinking, unpartitioned fallback (core::RecoveryPolicy
-//    defaults). Recovery work is charged as simulated time, so Q/s
+//    window shrinking, unpartitioned fallback (the InljConfig default,
+//    fail_stop off). Recovery work is charged as simulated time, so Q/s
 //    degrades smoothly with the fault rate.
 //  * fail-stop — zero retry budget and every recovery path off: the
 //    pre-fault-model behaviour, where the first fault kills the query.
@@ -103,7 +103,7 @@ int Main(int argc, char** argv) {
       core::ExperimentConfig failstop = BaseConfig(flags);
       failstop.fault = FaultAt(rate);
       failstop.fault.max_retries = 0;  // first transient fault is fatal
-      failstop.inlj.recovery = core::RecoveryPolicy::FailStop();
+      failstop.inlj.fail_stop = true;
       auto fs_exp = core::Experiment::Create(failstop);
       MaybeObserve(sink, **fs_exp);
       auto fs = (*fs_exp)->RunInlj();
@@ -173,7 +173,7 @@ int Main(int argc, char** argv) {
       }
 
       core::ExperimentConfig failstop = spill;
-      failstop.inlj.recovery = core::RecoveryPolicy::FailStop();
+      failstop.inlj.fail_stop = true;
       auto fs_exp = core::Experiment::Create(failstop);
       MaybeObserve(sink, **fs_exp);
       auto fs = (*fs_exp)->RunInlj();

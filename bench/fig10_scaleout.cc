@@ -42,7 +42,7 @@ dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
   dist::ShardConfig dcfg;
   dcfg.num_shards = p.shards;
   dcfg.topology = p.topology;
-  dcfg.steal.enabled = steal;
+  dcfg.steal = steal;
   dcfg.threads = SweepThreads(flags);
   dcfg.planner.mode = planner;
   dcfg.planner.seed = cfg.seed * 1000 + order_key;

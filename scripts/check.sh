@@ -47,6 +47,13 @@ require_file results/BENCH_cluster.json \
 
 run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
 
+# The benchmark binary (perfbench/) is its own CMake project over src/,
+# which the build above does not include: compile it (without running
+# it) so a src/ change that breaks it fails here too.
+echo "=== configure build-perfbench (perfbench/, compile only) ==="
+cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j
+
 # Deterministic golden smoke: the fault-recovery ablation and the Fig. 8
 # skew sweep (hash-join duplicate chains) at their fixed seeds must stay
 # byte-identical to their checked-in golden tables.

@@ -39,7 +39,7 @@ TRACE_REGION_FIELDS = [
     "stream_bytes", "writes",
 ]
 
-METRIC_KINDS = {"scalar", "counter", "ratio", "histogram"}
+METRIC_KINDS = {"scalar", "counter", "histogram"}
 
 HISTOGRAM_FIELDS = ["sum", "min", "max", "p50", "p95", "p99"]
 
@@ -137,11 +137,6 @@ def check_metrics(errors, where, metrics):
             if v is not None and (not isinstance(v, (int, float))
                                   or isinstance(v, bool)):
                 err(errors, w, f"value must be a number or null, got {v!r}")
-        if kind == "ratio":
-            for field in ("numerator", "denominator"):
-                v = m.get(field)
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    err(errors, w, f"{field} must be a number, got {v!r}")
 
 
 SHARD_FIELDS = {

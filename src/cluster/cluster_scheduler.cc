@@ -112,13 +112,8 @@ Status ClusterScheduler::Build() {
   mem::AddressSpace::Options options;
   options.host_page_size = cfg_.host_page_size;
   space_ = std::make_unique<mem::AddressSpace>(options);
-  if (cfg_.jittered_keys) {
-    r_ = std::make_unique<workload::JitteredKeyColumn>(
-        space_.get(), cfg_.r_tuples, /*stride=*/16, cfg_.seed);
-  } else {
-    r_ = std::make_unique<workload::DenseKeyColumn>(space_.get(),
-                                                    cfg_.r_tuples);
-  }
+  r_ = std::make_unique<workload::DenseKeyColumn>(space_.get(),
+                                                  cfg_.r_tuples);
 
   Result<dist::ShardPlan> plan =
       dist::ShardPlanner::Plan(*r_, ccfg_.num_nodes);
@@ -132,12 +127,6 @@ Status ClusterScheduler::Build() {
     dist::ShardConfig dcfg;
     dcfg.num_shards = ccfg_.gpus_per_node;
     dcfg.topology = ccfg_.node_topology;
-    dcfg.steal = ccfg_.steal;
-    dcfg.planner = ccfg_.planner;
-    if (dcfg.planner.mode == plan::PlannerMode::kAdaptive) {
-      // Independent decision streams per node.
-      dcfg.planner.seed += static_cast<uint64_t>(n) * 0x9e3779b9ULL;
-    }
     dcfg.threads = ccfg_.threads;
     if (ccfg_.num_nodes > 1) {
       // Each node's engine plans only its R slice across its GPUs —

@@ -74,11 +74,10 @@ struct ClusterConfig {
   int num_nodes = 1;
   int gpus_per_node = 1;
   NetworkKind network = NetworkKind::kInfiniBand;
+  // The GPU fabric inside each node. Each node engine otherwise runs
+  // dist's defaults: intra-node work stealing on and the static
+  // (pre-planner) windowed pipeline.
   dist::TopologyKind node_topology = dist::TopologyKind::kNvLink2;
-  // Intra-node work stealing (dist's policy, applied inside each node).
-  dist::StealPolicy steal;
-  // Per-chunk plan routing inside each node engine (dist's semantics).
-  plan::PlannerConfig planner{.mode = plan::PlannerMode::kStatic};
   NodeFailoverPolicy failover;
   std::vector<MembershipEvent> membership;
   // Simulation worker threads per node engine; 0 = auto (dist rule).

@@ -31,9 +31,8 @@ sim::RunResult BestEffortInlj::Run(sim::Gpu& gpu, const index::Index& index,
   const double scale = s.scale();
   const uint64_t sample = s.sample_size();
 
-  const RadixPartitionSpec spec = PlanPartitionBits(
-      index.column(), config.max_partition_bits, config.ignore_lsb)
-                                      .value();
+  const RadixPartitionSpec spec =
+      PlanPartitionBits(index.column(), config.max_partition_bits).value();
   const uint32_t num_partitions = spec.num_partitions();
 
   // Bucket storage: one fixed-capacity buffer of 16-byte (key, row_id)

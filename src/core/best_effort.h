@@ -24,7 +24,6 @@ namespace gpujoin::core {
 struct BestEffortConfig {
   uint32_t bucket_tuples = 2048;
   int max_partition_bits = 11;
-  int ignore_lsb = 4;
   double probe_filter_selectivity = 1.0;
 };
 

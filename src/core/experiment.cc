@@ -39,17 +39,10 @@ Status Experiment::Build() {
     gpu_->memory().SetFaultInjector(fault_injector_.get());
   }
 
-  if (config_.jittered_keys) {
-    r_ = std::make_unique<workload::JitteredKeyColumn>(
-        &space_, config_.r_tuples, /*stride=*/16, config_.seed);
-  } else {
-    r_ = std::make_unique<workload::DenseKeyColumn>(&space_,
-                                                    config_.r_tuples);
-  }
+  r_ = std::make_unique<workload::DenseKeyColumn>(&space_, config_.r_tuples);
 
-  index_ = IndexFactory::Build(
-      &space_, r_.get(), config_.index_type,
-      {config_.btree, config_.harmonia, config_.radix_spline});
+  index_ = IndexFactory::Build(&space_, r_.get(), config_.index_type,
+                               {config_.btree, config_.harmonia});
 
   workload::ProbeConfig probe_config;
   probe_config.full_size = config_.s_tuples;
@@ -100,17 +93,6 @@ void Experiment::EnablePhaseTimeline() {
     timeline_ = std::make_unique<obs::PhaseTimeline>(&gpu_->memory(),
                                                      &gpu_->cost_model());
     timeline_->AttachTo(&gpu_->memory());
-  }
-}
-
-void Experiment::DisableObservability() {
-  if (trace_ != nullptr) {
-    gpu_->memory().RemoveObserver(trace_.get());
-    trace_.reset();
-  }
-  if (timeline_ != nullptr) {
-    timeline_->DetachFrom(&gpu_->memory());
-    timeline_.reset();
   }
 }
 

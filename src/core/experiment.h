@@ -8,7 +8,6 @@
 #include "index/btree.h"
 #include "index/harmonia.h"
 #include "index/index.h"
-#include "index/radix_spline.h"
 #include "join/hash_join.h"
 #include "mem/address_space.h"
 #include "obs/phase_timeline.h"
@@ -37,8 +36,6 @@ struct ExperimentConfig {
   uint64_t s_sample = uint64_t{1} << 19;
   double zipf_exponent = 0;
   uint64_t seed = 1;
-  // Dense keys by default; jittered keys exercise interpolation error.
-  bool jittered_keys = false;
 
   // Host huge-page size (the paper's machine uses 1 GiB pages and finds
   // 2 MiB approximately equal, Sec. 3.2 — the page-size ablation checks
@@ -64,7 +61,6 @@ struct ExperimentConfig {
   index::IndexType index_type = index::IndexType::kRadixSpline;
   index::BTreeIndex::Options btree;
   index::HarmoniaIndex::Options harmonia;
-  index::RadixSplineIndex::Options radix_spline;
 
   InljConfig inlj;
   join::HashJoinConfig hash_join;
@@ -87,8 +83,9 @@ class Experiment {
   // Runs the configured INLJ variant. Hardware state (caches, TLB) and
   // the fault injector are reset first so runs are independent and
   // mutually reproducible. Fails when an injected fault is unrecoverable
-  // under the configured recovery policy. A non-null `collect` receives
-  // every sample-scale match (see IndexNestedLoopJoin::Run).
+  // (or under inlj.fail_stop, on the first anomaly). A non-null
+  // `collect` receives every sample-scale match (see
+  // IndexNestedLoopJoin::Run).
   Result<sim::RunResult> RunInlj(std::vector<JoinMatch>* collect = nullptr);
 
   // The reset each Run* performs (hardware state, fault injector,
@@ -110,8 +107,6 @@ class Experiment {
   // Attaches only the PhaseTimeline (idempotent), for drivers that read
   // the spans but not the trace: no recorder resolves every transaction.
   void EnablePhaseTimeline();
-  // Detaches and destroys both (no-op when not enabled).
-  void DisableObservability();
 
   // Null unless EnableObservability() (or, for the timeline,
   // EnablePhaseTimeline()) ran. The trace holds the stats of

@@ -1,6 +1,7 @@
 #include "core/index_factory.h"
 
 #include "index/binary_search.h"
+#include "index/radix_spline.h"
 #include "util/check.h"
 
 namespace gpujoin::core {
@@ -18,8 +19,7 @@ std::unique_ptr<index::Index> IndexFactory::Build(
       return std::make_unique<index::HarmoniaIndex>(space, column,
                                                     options.harmonia);
     case index::IndexType::kRadixSpline:
-      return index::RadixSplineIndex::Build(space, column,
-                                            options.radix_spline);
+      return index::RadixSplineIndex::Build(space, column);
   }
   GPUJOIN_CHECK(false) << "unhandled IndexType";
   return nullptr;

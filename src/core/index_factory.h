@@ -6,7 +6,6 @@
 #include "index/btree.h"
 #include "index/harmonia.h"
 #include "index/index.h"
-#include "index/radix_spline.h"
 #include "mem/address_space.h"
 #include "workload/key_column.h"
 
@@ -21,7 +20,6 @@ class IndexFactory {
   struct Options {
     index::BTreeIndex::Options btree;
     index::HarmoniaIndex::Options harmonia;
-    index::RadixSplineIndex::Options radix_spline;
   };
 
   // Builds an index of `type` over `column`, reserving its state in

@@ -72,8 +72,9 @@ Result<sim::RunResult> IndexNestedLoopJoin::Run(
           internal::ReserveResultBuffer(gpu, sample, config);
       if (!buffer.ok()) return buffer.status();
       result.result_buffer_on_host = buffer->on_host;
-      Result<partition::RadixPartitionSpec> spec = partition::PlanPartitionBits(
-          index.column(), config.max_partition_bits, config.ignore_lsb);
+      Result<partition::RadixPartitionSpec> spec =
+          partition::PlanPartitionBits(index.column(),
+                                       config.max_partition_bits);
       if (!spec.ok()) return spec.status();
       const partition::RadixPartitioner partitioner(*spec);
       sim::KernelRun part{"partition", {}};

@@ -13,35 +13,6 @@
 
 namespace gpujoin::core {
 
-// What the join does when something goes wrong mid-pipeline (bucket
-// overflow under skew, simulated allocation failure). The default is
-// fully graceful: degrade the affected window and keep going. FailStop()
-// turns every recovery path off, so the first anomaly surfaces as an
-// error Status — the pre-fault-model behaviour, for ablations.
-struct RecoveryPolicy {
-  // Chain overflowing partition buckets into spill buckets instead of
-  // failing the window (see partition::PartitionOptions).
-  bool spill_on_overflow = true;
-  // On a failed window-buffer allocation, halve the window and retry
-  // (down to one warp of 32 tuples) instead of failing the run.
-  bool shrink_window_on_alloc_failure = true;
-  // If a window still cannot be partitioned, join it unpartitioned
-  // (PartitionMode::kNone semantics for that window only).
-  bool fallback_to_unpartitioned = true;
-  // On a failed result-buffer allocation, materialize into CPU memory
-  // across the interconnect (paper footnote 1) instead of failing.
-  bool spill_results_on_alloc_failure = true;
-
-  static RecoveryPolicy FailStop() {
-    RecoveryPolicy p;
-    p.spill_on_overflow = false;
-    p.shrink_window_on_alloc_failure = false;
-    p.fallback_to_unpartitioned = false;
-    p.spill_results_on_alloc_failure = false;
-    return p;
-  }
-};
-
 // Configuration of the index-nested-loop join over a fast interconnect.
 //
 // The three partition modes correspond to the paper's progression:
@@ -62,10 +33,9 @@ struct InljConfig {
   uint64_t window_tuples = uint64_t{1} << 22;
 
   // Radix partitioning of the lookup keys: 2^max_partition_bits
-  // partitions (2048 in Sec. 4.3.1), skipping the least significant key
-  // bits.
+  // partitions (2048 in Sec. 4.3.1), skipping the 4 least significant
+  // key bits. Must be >= 1.
   int max_partition_bits = 11;
-  int ignore_lsb = 4;
 
   // Concurrent kernel execution: overlap window t's partitioning with
   // window t-1's join on a second CUDA stream (Sec. 5.1).
@@ -90,8 +60,20 @@ struct InljConfig {
   // and skew only degrades locality, as in the paper's experiments.
   double bucket_slack = 0;
 
-  // Recovery behaviour under injected faults and bucket overflow.
-  RecoveryPolicy recovery;
+  // What the join does when something goes wrong mid-pipeline (bucket
+  // overflow under skew, simulated allocation failure). By default it
+  // degrades the affected window and keeps going:
+  //  * overflowing partition buckets chain into spill buckets
+  //    (see partition::PartitionOptions);
+  //  * a failed window-buffer allocation halves the window and retries,
+  //    down to one warp of 32 tuples;
+  //  * a window that still cannot be partitioned joins unpartitioned;
+  //  * a failed result-buffer allocation materializes into CPU memory
+  //    across the interconnect (paper footnote 1).
+  // fail_stop turns every one of these off, so the first anomaly
+  // surfaces as an error Status (the pre-fault-model behaviour, for
+  // ablations).
+  bool fail_stop = false;
 };
 
 const char* PartitionModeName(InljConfig::PartitionMode mode);
@@ -102,7 +84,7 @@ const char* PartitionModeName(InljConfig::PartitionMode mode);
 //
 // Fails with InvalidArgument for a malformed config and with
 // ResourceExhausted when an injected fault is unrecoverable under the
-// configured RecoveryPolicy (or exhausts its retry budget). Recoverable
+// configured fail_stop setting (or exhausts its retry budget). Recoverable
 // anomalies degrade the run instead and are reported through the
 // RunResult robustness fields.
 //

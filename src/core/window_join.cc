@@ -16,7 +16,7 @@ Result<ResultBuffer> ReserveResultBuffer(sim::Gpu& gpu, uint64_t tuples,
       "inlj.result");
   if (r.ok()) {
     out.region = *r;
-  } else if (config.recovery.spill_results_on_alloc_failure) {
+  } else if (!config.fail_stop) {
     out.region = gpu.memory().space().Reserve(tuples * 16,
                                               mem::MemKind::kHost,
                                               "inlj.result");
@@ -36,7 +36,7 @@ Status RunChunk(sim::Gpu& gpu, const index::Index& index,
                 bool top_level, std::vector<JoinMatch>* collect) {
   partition::PartitionOptions popts;
   popts.bucket_slack = config.bucket_slack;
-  popts.spill_on_overflow = config.recovery.spill_on_overflow;
+  popts.spill_on_overflow = !config.fail_stop;
 
   Result<partition::PartitionedKeys> parts = partitioner.Partition(
       gpu, s.keys.data().data() + begin, count, s.keys.addr_of(begin),
@@ -55,11 +55,12 @@ Status RunChunk(sim::Gpu& gpu, const index::Index& index,
   // run regardless of policy.
   Status fatal = gpu.memory().fault_status();
   if (!fatal.ok()) return fatal;
-  if (parts.status().code() != StatusCode::kResourceExhausted) {
+  if (parts.status().code() != StatusCode::kResourceExhausted ||
+      config.fail_stop) {
     return parts.status();
   }
 
-  if (config.recovery.shrink_window_on_alloc_failure && count >= 64) {
+  if (count >= 64) {
     if (top_level) ++stats->degraded_windows;
     const uint64_t half = count / 2;
     Status st = RunChunk(gpu, index, s, partitioner, config, begin, half,
@@ -71,16 +72,12 @@ Status RunChunk(sim::Gpu& gpu, const index::Index& index,
                     /*top_level=*/false, collect);
   }
 
-  if (config.recovery.fallback_to_unpartitioned) {
-    ++stats->fallback_windows;
-    join->Merge(internal::RunJoinKernel(
-        gpu, index, s.keys.data().data() + begin, nullptr, count,
-        s.keys.addr_of(begin), result_base, config.probe_filter_selectivity,
-        matches, /*row_id_base=*/begin, collect));
-    return gpu.memory().fault_status();
-  }
-
-  return parts.status();
+  ++stats->fallback_windows;
+  join->Merge(internal::RunJoinKernel(
+      gpu, index, s.keys.data().data() + begin, nullptr, count,
+      s.keys.addr_of(begin), result_base, config.probe_filter_selectivity,
+      matches, /*row_id_base=*/begin, collect));
+  return gpu.memory().fault_status();
 }
 
 }  // namespace internal
@@ -93,8 +90,8 @@ Result<WindowJoiner> WindowJoiner::Create(sim::Gpu& gpu,
   Result<internal::ResultBuffer> result =
       internal::ReserveResultBuffer(gpu, result_tuples, config);
   if (!result.ok()) return result.status();
-  Result<partition::RadixPartitionSpec> spec = partition::PlanPartitionBits(
-      index.column(), config.max_partition_bits, config.ignore_lsb);
+  Result<partition::RadixPartitionSpec> spec =
+      partition::PlanPartitionBits(index.column(), config.max_partition_bits);
   if (!spec.ok()) return spec.status();
   return WindowJoiner(gpu, index, s, config, *spec, *result);
 }

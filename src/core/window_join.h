@@ -16,7 +16,7 @@
 namespace gpujoin::core {
 
 // Degradation events observed while partitioning and joining a window
-// (simulated-sample scale; see core::RecoveryPolicy for the ladder that
+// (simulated-sample scale; see InljConfig::fail_stop for the ladder that
 // produces them).
 struct WindowStats {
   uint64_t spilled_tuples = 0;
@@ -53,8 +53,8 @@ namespace internal {
 
 // The result buffer shared by a run's windows: GPU memory by default
 // (paper Sec. 3.2), CPU memory when spilling (footnote 1) or when a
-// fault-injected device allocation failure degrades placement under
-// RecoveryPolicy::spill_results_on_alloc_failure.
+// fault-injected device allocation failure degrades placement (unless
+// InljConfig::fail_stop).
 struct ResultBuffer {
   mem::Region region;
   bool on_host = false;
@@ -108,7 +108,7 @@ class WindowJoiner {
 
   // Services one window over s[begin, begin+count). `ordinal` labels the
   // window for the phase timeline. Fails only when the recovery ladder is
-  // exhausted (or disabled) — see core::RecoveryPolicy.
+  // exhausted (or disabled) — see InljConfig::fail_stop.
   Result<WindowRun> RunWindow(uint64_t begin, uint64_t count,
                               uint64_t ordinal,
                               std::vector<JoinMatch>* collect = nullptr);

@@ -22,6 +22,12 @@ uint64_t HostBytes(const sim::CounterSet& c) {
 constexpr uint64_t kStealBytesPerTuple =
     sizeof(workload::Key) + sizeof(uint64_t);
 
+// Work stealing (ShardConfig::steal): a shard whose estimated window time
+// exceeds kStealTrigger x the mean is a victim, and stolen work runs
+// kStealRemotePenalty x slower than local.
+constexpr double kStealTrigger = 1.25;
+constexpr double kStealRemotePenalty = 1.5;
+
 }  // namespace
 
 Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
@@ -36,6 +42,8 @@ Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
         "the sharded engine supports planner = static | adaptive; use "
         "the single-device plan::PlannedBackend for oracle runs");
   }
+  Status pst = dcfg.planner.Validate();
+  if (!pst.ok()) return pst;
   if (IsNetwork(dcfg.topology)) {
     return Status::InvalidArgument(
         std::string("topology must be an in-node fabric (nvlink2 | pcie4 | "
@@ -76,13 +84,8 @@ Status ShardScheduler::Build() {
   // router and by shard slices) and the probe sample, generated exactly
   // as core::Experiment does so a sharded run answers the same query.
   base_space_ = std::make_unique<mem::AddressSpace>(options);
-  if (cfg_.jittered_keys) {
-    base_r_ = std::make_unique<workload::JitteredKeyColumn>(
-        base_space_.get(), cfg_.r_tuples, /*stride=*/16, cfg_.seed);
-  } else {
-    base_r_ = std::make_unique<workload::DenseKeyColumn>(base_space_.get(),
-                                                         cfg_.r_tuples);
-  }
+  base_r_ = std::make_unique<workload::DenseKeyColumn>(base_space_.get(),
+                                                       cfg_.r_tuples);
 
   workload::ProbeConfig probe_config;
   probe_config.full_size = cfg_.s_tuples;
@@ -143,9 +146,9 @@ Status ShardScheduler::Build() {
     }
     shard->r = std::make_unique<ShardKeyColumn>(
         &shard->space, plan_r, plan_.pos_begin[i], plan_.shard_r_tuples(i));
-    shard->index = core::IndexFactory::Build(
-        &shard->space, shard->r.get(), cfg_.index_type,
-        {cfg_.btree, cfg_.harmonia, cfg_.radix_spline});
+    shard->index = core::IndexFactory::Build(&shard->space, shard->r.get(),
+                                             cfg_.index_type,
+                                             {cfg_.btree, cfg_.harmonia});
     // Probe buffer the router fills; capacity = the whole sample (any
     // single shard could own every key of a window).
     shard->s.keys = mem::SimArray<workload::Key>(
@@ -158,14 +161,7 @@ Status ShardScheduler::Build() {
     shards_.push_back(std::move(shard));
   }
 
-  if (dcfg_.planner.mode == plan::PlannerMode::kAdaptive) {
-    planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
-    for (int i = 0; i < dcfg_.num_shards; ++i) {
-      extractors_.emplace_back(
-          plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
-          dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
-    }
-  }
+  SeedPlanner();
 
   if (dcfg_.failover.enabled()) {
     fault_timeline_ = std::make_unique<sim::DeviceFaultTimeline>(
@@ -220,18 +216,21 @@ Status ShardScheduler::ResetShardsForRun() {
     reexec_chunks_ = 0;
     robustness_ = obs::RobustnessStats{};
   }
-  if (planner_ != nullptr) {
-    // Repeated RunJoin calls must route identically: the planner and the
-    // extractors restart from their seeds.
-    planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
-    extractors_.clear();
-    for (int i = 0; i < dcfg_.num_shards; ++i) {
-      extractors_.emplace_back(
-          plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
-          dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
-    }
-  }
+  // Repeated RunJoin calls must route identically: the planner and the
+  // extractors restart from their seeds.
+  SeedPlanner();
   return Status::Ok();
+}
+
+void ShardScheduler::SeedPlanner() {
+  if (dcfg_.planner.mode != plan::PlannerMode::kAdaptive) return;
+  planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
+  extractors_.clear();
+  for (int i = 0; i < dcfg_.num_shards; ++i) {
+    extractors_.emplace_back(
+        plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
+        dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
+  }
 }
 
 void ShardScheduler::EnableObservability() {
@@ -303,7 +302,7 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
     return fault_timeline_ != nullptr && dead_[static_cast<size_t>(i)] != 0;
   };
 
-  if (dcfg_.steal.enabled && n > 1 && total > 0) {
+  if (dcfg_.steal && n > 1 && total > 0) {
     // Estimated per-tuple rates: the smoothed observation once a shard
     // has run (the EWMA amortizes per-window fixed costs, so a shard
     // serializing extra windows reports a proportionally higher load).
@@ -316,8 +315,7 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       rate[i] = shards_[i]->rate.value();
       load[i] = static_cast<double>(remaining[i]) * rate[i];
     }
-    uint64_t bucket = dcfg_.steal.bucket_tuples;
-    if (bucket == 0) bucket = std::max<uint64_t>(256, grid_.w_dev / 2);
+    const uint64_t bucket = std::max<uint64_t>(256, grid_.w_dev / 2);
     // Greedy rebalance, bounded: peel buckets off the most loaded
     // shard's tail onto the least loaded one while it shortens the
     // window's critical path.
@@ -339,22 +337,25 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       if (alive < 2) break;
       mean /= alive;
       if (victim == thief || remaining[victim] == 0 ||
-          load[victim] <= dcfg_.steal.trigger * mean) {
+          load[victim] <= kStealTrigger * mean) {
         break;
       }
       const uint64_t g = std::min(bucket, remaining[victim]);
       const double handoff =
           topo_.PeerSeconds(victim, thief, g * kStealBytesPerTuple);
-      const double cost = static_cast<double>(g) * rate[victim] *
-                              dcfg_.steal.remote_penalty +
-                          handoff;
+      const double cost =
+          static_cast<double>(g) * rate[victim] * kStealRemotePenalty +
+          handoff;
       // Not worth it when the thief would become the new bottleneck.
       if (load[thief] + cost >= load[victim]) break;
       remaining[victim] -= g;
       load[victim] -= static_cast<double>(g) * rate[victim];
       load[thief] += cost;
       stolen[victim].push_back(
-          {victim, thief, slices[victim].start + remaining[victim], g});
+          {.owner = victim,
+           .thief = thief,
+           .start = slices[victim].start + remaining[victim],
+           .count = g});
       ++(*steal_events);
     }
   }
@@ -377,14 +378,20 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
       // execute against its (host-resident) partition but are charged to
       // the failover target at the recovery penalty.
       if (slices[i].count > 0) {
-        Chunk c{i, failover_target_[static_cast<size_t>(i)],
-                slices[i].start, slices[i].count};
-        c.failover = true;
-        emit(c);
+        emit({.owner = i,
+              .thief = failover_target_[static_cast<size_t>(i)],
+              .start = slices[i].start,
+              .count = slices[i].count,
+              .failover = true});
       }
       continue;
     }
-    if (remaining[i] > 0) emit({i, i, slices[i].start, remaining[i]});
+    if (remaining[i] > 0) {
+      emit({.owner = i,
+            .thief = i,
+            .start = slices[i].start,
+            .count = remaining[i]});
+    }
     for (const Chunk& c : stolen[i]) emit(c);
   }
   return chunks;
@@ -545,7 +552,7 @@ Result<double> ShardScheduler::ExecuteWindow(
         const uint64_t bytes = cr.chunk.count * kStealBytesPerTuple;
         const double penalty = cr.chunk.failover
                                    ? dcfg_.failover.recovery_penalty
-                                   : dcfg_.steal.remote_penalty;
+                                   : kStealRemotePenalty;
         charged_seconds[thief] +=
             cr.seconds * penalty +
             topo_.Charge(v, thief, bytes, /*active=*/1, host_bytes_by_link);

@@ -28,26 +28,6 @@
 
 namespace gpujoin::dist {
 
-// When Zipf skew concentrates a window's probe tuples on one shard, idle
-// shards steal buckets from the loaded shard's tail. A stolen bucket is
-// still *executed against the victim's structures* (its index owns those
-// R keys), but its time is charged to the thief's device timeline at a
-// remote-probe penalty plus the interconnect handoff — the thief's SMs
-// probing a peer-owned partition over the fabric.
-struct StealPolicy {
-  bool enabled = true;
-  // A shard becomes a victim when its estimated window time exceeds
-  // `trigger` times the mean across shards.
-  double trigger = 1.25;
-  // Steal granularity in probe tuples; 0 picks half a device window,
-  // min 256. A stolen bucket runs as its own window on the victim's
-  // structures, like a spill-chain bucket of the recovery ladder.
-  uint64_t bucket_tuples = 0;
-  // Remote execution runs this much slower than local (uncoalesced
-  // peer-to-peer probes).
-  double remote_penalty = 1.5;
-};
-
 // Failure detection and key-range failover. The scheduler evaluates the
 // seeded device-fault timeline at window boundaries: a shard with a
 // terminal fault (crash, stuck, forever link-down) is declared dead one
@@ -69,7 +49,7 @@ struct FailoverPolicy {
   double heartbeat_timeout = 1e-4;
   // Re-executed / failed-over work runs this much slower than local
   // (the survivor probes the dead shard's partition over the fabric;
-  // >= the steal remote_penalty since there is no warm cache to reuse).
+  // >= the steal penalty of 1.5 since there is no warm cache to reuse).
   double recovery_penalty = 2.0;
   // Re-executed chunks allowed per run before the engine gives up with
   // ResourceExhausted (a fault storm must not retry forever).
@@ -81,7 +61,17 @@ struct FailoverPolicy {
 struct ShardConfig {
   int num_shards = 1;
   TopologyKind topology = TopologyKind::kNvLink2;
-  StealPolicy steal;
+  // Work stealing. When Zipf skew concentrates a window's probe tuples
+  // on one shard, idle shards steal buckets from the loaded shard's
+  // tail. A shard becomes a victim when its estimated window time
+  // exceeds 1.25x the mean across shards; a bucket is half a device
+  // window (at least 256 probe tuples) and runs as its own window on
+  // the victim's structures, like a spill-chain bucket of the recovery
+  // ladder. Its index owns those R keys, but its time is charged to the
+  // thief's device timeline at a 1.5x remote-probe penalty (uncoalesced
+  // peer-to-peer probes) plus the interconnect handoff — the thief's
+  // SMs probing a peer-owned partition over the fabric.
+  bool steal = true;
   FailoverPolicy failover;
   // Simulation worker threads; 0 = min(num_shards, hardware).
   int threads = 0;
@@ -303,8 +293,8 @@ class ShardScheduler final : public serve::WindowBackend {
     // owner's device executes this chunk, and the features the decision
     // saw (echoed back with the observed time after the window barrier).
     bool routed = false;
-    plan::PlanChoice choice;
-    plan::BatchFeatures features;
+    plan::PlanChoice choice{};
+    plan::BatchFeatures features{};
   };
 
   struct ChunkResult {
@@ -329,6 +319,9 @@ class ShardScheduler final : public serve::WindowBackend {
   Status Build();
   Status ResetShardsForRun();
   Status CreateJoiners();
+  // Adaptive mode only: (re)builds the shared planner and the per-shard
+  // feature extractors from their seeds, so every run routes alike.
+  void SeedPlanner();
 
   // The steal planner's per-tuple rate estimator, seeded with the
   // uniform lower bound from the per-window sync overhead: before any

@@ -45,7 +45,6 @@ class BTreeIndex : public Index {
   // Number of levels including the leaf level.
   int height() const { return static_cast<int>(level_counts_.size()); }
   uint32_t keys_per_leaf() const { return keys_per_leaf_; }
-  uint32_t fanout() const { return fanout_; }
   uint64_t num_nodes(int level) const { return level_counts_[level]; }
 
   // Exposed for tests: functional node content.

@@ -49,22 +49,6 @@ std::optional<DeltaIndex::Entry> DeltaIndex::Find(Key key) const {
   return e;
 }
 
-uint32_t DeltaIndex::LookupWarp(sim::Warp& warp, const Key* keys,
-                                uint32_t mask, uint64_t* out_value,
-                                uint32_t* tombstone_mask) const {
-  const uint32_t hits = tree_->LookupWarp(warp, keys, mask, out_value);
-  uint32_t dead = 0;
-  for (int lane = 0; lane < sim::Warp::kWidth; ++lane) {
-    if (!(hits & (1u << lane))) continue;
-    if (out_value[lane] & kTombstoneBit) {
-      dead |= 1u << lane;
-      out_value[lane] &= ~kTombstoneBit;
-    }
-  }
-  *tombstone_mask = dead;
-  return hits;
-}
-
 std::vector<DeltaIndex::SnapshotEntry> DeltaIndex::Snapshot() const {
   std::vector<SnapshotEntry> out;
   out.reserve(tree_->size());

@@ -8,7 +8,6 @@
 
 #include "index/dynamic_btree.h"
 #include "mem/address_space.h"
-#include "sim/gpu.h"
 #include "util/status.h"
 #include "workload/key_column.h"
 
@@ -63,14 +62,6 @@ class DeltaIndex {
   // CPU-side point read of the delta alone. nullopt = the delta has no
   // opinion (fall through to the static side).
   std::optional<Entry> Find(Key key) const;
-
-  // SIMT lookup (GPU side). For each lane in `mask` with a delta entry:
-  // sets the lane in the returned hit-mask, writes the payload to
-  // out_value[lane], and sets the lane in *tombstone_mask if the entry
-  // is a tombstone. Lanes outside the hit-mask fall through to the
-  // static index.
-  uint32_t LookupWarp(sim::Warp& warp, const Key* keys, uint32_t mask,
-                      uint64_t* out_value, uint32_t* tombstone_mask) const;
 
   // All entries in ascending key order, values still tagged. Used by the
   // merge path; the delta keeps serving while the snapshot is consumed.

@@ -1,7 +1,6 @@
 #include "index/hybrid_index.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "util/check.h"
@@ -80,97 +79,6 @@ std::optional<uint64_t> HybridIndex::Find(Key key) const {
   return BaseFind(key);
 }
 
-uint32_t HybridIndex::ProbeWarp(sim::Warp& warp, const Index& static_index,
-                                const Key* keys, uint32_t mask,
-                                uint64_t* out_value) const {
-  constexpr int kW = sim::Warp::kWidth;
-  uint32_t resolved = 0;  // lanes some layer has decided (found or dead)
-  uint32_t found = 0;
-
-  // Delta layers, highest precedence first. Every undecided lane probes.
-  for (const DeltaIndex* delta : {active_.get(), frozen_.get()}) {
-    const uint32_t probe = mask & ~resolved;
-    if (probe == 0 || delta->entries() == 0) continue;
-    std::array<uint64_t, kW> value{};
-    uint32_t dead = 0;
-    const uint32_t hits =
-        delta->LookupWarp(warp, keys, probe, value.data(), &dead);
-    resolved |= hits;
-    for (int lane = 0; lane < kW; ++lane) {
-      if (!(hits & (1u << lane)) || (dead & (1u << lane))) continue;
-      out_value[lane] = value[lane];
-      found |= 1u << lane;
-    }
-  }
-
-  // Overlay: lock-step binary search over the sorted entry array.
-  if (!overlay_keys_.empty() && (mask & ~resolved) != 0) {
-    const uint32_t probe = mask & ~resolved;
-    std::array<uint64_t, kW> lo{};
-    std::array<uint64_t, kW> hi{};
-    std::array<mem::VirtAddr, kW> addrs{};
-    for (int lane = 0; lane < kW; ++lane) {
-      if (probe & (1u << lane)) hi[lane] = overlay_keys_.size();
-    }
-    uint32_t active_lanes = probe;
-    while (active_lanes != 0) {
-      uint32_t issue = 0;
-      std::array<uint64_t, kW> mid{};
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(active_lanes & (1u << lane))) continue;
-        if (lo[lane] >= hi[lane]) {
-          active_lanes &= ~(1u << lane);
-          continue;
-        }
-        mid[lane] = lo[lane] + (hi[lane] - lo[lane]) / 2;
-        addrs[lane] = overlay_region_.base + mid[lane] * kOverlayEntryBytes;
-        issue |= 1u << lane;
-      }
-      if (issue == 0) break;
-      warp.Gather(addrs.data(), issue, sizeof(Key));
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(issue & (1u << lane))) continue;
-        if (overlay_keys_[mid[lane]] < keys[lane]) {
-          lo[lane] = mid[lane] + 1;
-        } else {
-          hi[lane] = mid[lane];
-        }
-      }
-    }
-    uint32_t value_mask = 0;
-    for (int lane = 0; lane < kW; ++lane) {
-      if (!(probe & (1u << lane))) continue;
-      const uint64_t pos = lo[lane];
-      if (pos >= overlay_keys_.size() || overlay_keys_[pos] != keys[lane]) {
-        continue;
-      }
-      resolved |= 1u << lane;
-      const uint64_t tagged = overlay_values_[pos];
-      if (!(tagged & kTomb)) {
-        out_value[lane] = tagged & ~kTomb;
-        found |= 1u << lane;
-        addrs[lane] = overlay_region_.base + pos * kOverlayEntryBytes + 8;
-        value_mask |= 1u << lane;
-      }
-    }
-    if (value_mask != 0) warp.Gather(addrs.data(), value_mask, 8);
-  }
-
-  // Base fallthrough through the shard's static index.
-  const uint32_t fall = mask & ~resolved;
-  if (fall != 0) {
-    std::array<uint64_t, kW> pos{};
-    const uint32_t present =
-        static_index.LookupWarp(warp, keys, fall, pos.data());
-    for (int lane = 0; lane < kW; ++lane) {
-      if (!(present & (1u << lane))) continue;
-      out_value[lane] = pos[lane];
-      found |= 1u << lane;
-    }
-  }
-  return found;
-}
-
 HybridIndex::MergeWork HybridIndex::BeginMerge() {
   GPUJOIN_CHECK(!merge_in_progress_) << "merge already in flight";
   GPUJOIN_CHECK(frozen_->entries() == 0)
@@ -219,9 +127,9 @@ void HybridIndex::CompleteMerge() {
   overlay_keys_ = std::move(keys);
   overlay_values_ = std::move(values);
   if (!overlay_keys_.empty()) {
-    overlay_region_ =
-        space_->Reserve(overlay_keys_.size() * kOverlayEntryBytes,
-                        mem::MemKind::kHost, "hybrid.overlay");
+    // The new overlay's host footprint in the shard's address space.
+    space_->Reserve(overlay_keys_.size() * kOverlayEntryBytes,
+                    mem::MemKind::kHost, "hybrid.overlay");
   }
 
   frozen_->Clear();

@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "index/delta_index.h"
-#include "index/index.h"
 #include "mem/address_space.h"
-#include "sim/gpu.h"
 #include "util/status.h"
 #include "workload/key_column.h"
 
@@ -70,14 +68,6 @@ class HybridIndex {
   // their payload value.
   std::optional<uint64_t> Find(Key key) const;
 
-  // Reconciled SIMT read: consults active/frozen deltas, the overlay and
-  // finally `static_index` (which must serve the same base column),
-  // charging each layer's gathers. out_value[lane] as for Find; returns
-  // the found-mask.
-  uint32_t ProbeWarp(sim::Warp& warp, const Index& static_index,
-                     const Key* keys, uint32_t mask,
-                     uint64_t* out_value) const;
-
   // Freezes the active delta and returns the merge's simulated work.
   // CHECK-fails if a merge is already in flight (callers serialize
   // merges per shard).
@@ -129,7 +119,6 @@ class HybridIndex {
   // Sorted merged entries; values tagged with DeltaIndex::kTombstoneBit.
   std::vector<Key> overlay_keys_;
   std::vector<uint64_t> overlay_values_;
-  mem::Region overlay_region_{};  // re-reserved per merge ("hybrid.overlay")
 };
 
 }  // namespace gpujoin::index

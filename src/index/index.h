@@ -40,15 +40,6 @@ class Index {
   // mask of lanes whose key is actually present in the column.
   virtual uint32_t LookupWarp(sim::Warp& warp, const Key* keys,
                               uint32_t mask, uint64_t* out_pos) const = 0;
-
-  // Functional-only lookup used by tests for ground truth.
-  uint64_t LookupOne(sim::Gpu& gpu, Key key) const {
-    uint64_t pos = 0;
-    gpu.RunKernel("lookup_one", 1, [&](sim::Warp& warp) {
-      LookupWarp(warp, &key, 1u, &pos);
-    });
-    return pos;
-  }
 };
 
 // The index structures under study (paper Sec. 3.2). Used by the

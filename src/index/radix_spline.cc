@@ -10,6 +10,11 @@ namespace gpujoin::index {
 
 namespace {
 
+// Columns larger than this are built with a UniformSpline of this knot
+// interval instead of being scanned.
+constexpr uint64_t kGreedySizeLimit = uint64_t{1} << 24;
+constexpr uint64_t kUniformInterval = 1024;
+
 // Lock-step SIMT lower bound over the column within per-lane [lo, hi)
 // ranges. Issues one coalesced gather per search step.
 void WarpColumnLowerBound(sim::Warp& warp, const workload::KeyColumn& col,
@@ -55,12 +60,12 @@ std::unique_ptr<RadixSplineIndex> RadixSplineIndex::Build(
     mem::AddressSpace* space, const workload::KeyColumn* column,
     const Options& options) {
   std::unique_ptr<SplineStorage> spline;
-  if (column->size() <= options.greedy_size_limit) {
+  if (column->size() <= kGreedySizeLimit) {
     spline = std::make_unique<GreedySpline>(space, *column,
                                             options.max_error);
   } else {
     spline = std::make_unique<UniformSpline>(space, column,
-                                             options.uniform_interval);
+                                             kUniformInterval);
   }
   return std::make_unique<RadixSplineIndex>(space, column, std::move(spline),
                                             options.radix_bits);

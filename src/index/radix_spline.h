@@ -21,15 +21,12 @@ class RadixSplineIndex : public Index {
     int radix_bits = 18;
     // Greedy-corridor error bound (materialized builds).
     uint64_t max_error = 32;
-    // Knot interval for procedural columns.
-    uint64_t uniform_interval = 1024;
-    // Columns larger than this are built with a UniformSpline instead of
-    // scanning (procedural columns cannot be scanned at build time).
-    uint64_t greedy_size_limit = uint64_t{1} << 24;
   };
 
-  // Builds the spline (greedy or uniform depending on column size) and
-  // the radix table.
+  // Builds the spline and the radix table. Columns of up to 2^24 keys
+  // are scanned into a greedy spline; larger ones get a UniformSpline
+  // with a knot every 1024 positions (procedural columns cannot be
+  // scanned at build time).
   static std::unique_ptr<RadixSplineIndex> Build(
       mem::AddressSpace* space, const workload::KeyColumn* column,
       const Options& options);

@@ -4,13 +4,8 @@
 
 namespace gpujoin::mem {
 
-const char* MemKindName(MemKind kind) {
-  return kind == MemKind::kHost ? "host" : "device";
-}
-
 AddressSpace::AddressSpace(const Options& options) : options_(options) {
   GPUJOIN_CHECK(bits::IsPowerOfTwo(options_.host_page_size));
-  GPUJOIN_CHECK(bits::IsPowerOfTwo(options_.device_page_size));
   next_base_[static_cast<int>(MemKind::kHost)] = kHostBase;
   next_base_[static_cast<int>(MemKind::kDevice)] = kDeviceBase;
 }

@@ -26,8 +26,6 @@ enum class MemKind : uint8_t {
   kDevice = 1,
 };
 
-const char* MemKindName(MemKind kind);
-
 // First address of each kind's half of the address space. Host and device
 // regions are bump-allocated from these disjoint bases, so an address's
 // kind is a single compare (see AddressSpace::KindOf).
@@ -50,14 +48,15 @@ struct Region {
 // page-aligned; regions live until the space is destroyed, mirroring the
 // paper's setup where relations and indexes are long-lived within a run.
 //
-// Page sizes are configurable per memory kind. The paper's machine uses
-// 1 GiB huge pages for CPU memory; the GPU TLB behaviour under study is
-// driven by the host page size.
+// The host page size is configurable. The paper's machine uses 1 GiB
+// huge pages for CPU memory; the GPU TLB behaviour under study is driven
+// by the host page size. Device memory uses 2 MiB pages.
 class AddressSpace {
  public:
+  static constexpr uint64_t kDevicePageSize = 2 * kMiB;
+
   struct Options {
     uint64_t host_page_size = kGiB;   // 1 GiB huge pages (paper Sec. 3.2)
-    uint64_t device_page_size = 2 * kMiB;
   };
 
   AddressSpace() : AddressSpace(Options{}) {}
@@ -88,7 +87,7 @@ class AddressSpace {
 
   uint64_t page_size(MemKind kind) const {
     return kind == MemKind::kHost ? options_.host_page_size
-                                  : options_.device_page_size;
+                                  : kDevicePageSize;
   }
 
   // Page number of `addr` within its kind's page-size granularity.

@@ -60,12 +60,4 @@ double LogHistogram::Quantile(double q) const {
   return max_;
 }
 
-void LogHistogram::Clear() {
-  buckets_.clear();
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 }  // namespace gpujoin::obs

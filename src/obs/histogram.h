@@ -35,8 +35,6 @@ class LogHistogram {
   // histogram.
   double Quantile(double q) const;
 
-  void Clear();
-
  private:
   static int BucketIndex(double value);
   static double BucketUpper(int index);

@@ -11,8 +11,6 @@ const char* MetricKindName(MetricKind kind) {
       return "scalar";
     case MetricKind::kCounter:
       return "counter";
-    case MetricKind::kRatio:
-      return "ratio";
     case MetricKind::kHistogram:
       return "histogram";
   }
@@ -35,27 +33,6 @@ void MetricsRegistry::SetCounter(std::string_view name, uint64_t value,
   m.kind = MetricKind::kCounter;
   m.unit = std::string(unit);
   m.count = value;
-}
-
-void MetricsRegistry::AddCounter(std::string_view name, uint64_t delta,
-                                 std::string_view unit) {
-  auto it = metrics_.find(name);
-  if (it == metrics_.end() || it->second.kind != MetricKind::kCounter) {
-    SetCounter(name, delta, unit);
-    return;
-  }
-  it->second.count += delta;
-}
-
-void MetricsRegistry::SetRatio(std::string_view name, double numerator,
-                               double denominator, std::string_view unit) {
-  Metric& m = metrics_[std::string(name)];
-  m = Metric{};
-  m.kind = MetricKind::kRatio;
-  m.unit = std::string(unit);
-  m.numerator = numerator;
-  m.denominator = denominator;
-  m.value = denominator != 0 ? numerator / denominator : 0;
 }
 
 void MetricsRegistry::SetHistogram(std::string_view name,
@@ -91,11 +68,6 @@ void MetricsRegistry::WriteJson(JsonWriter& w) const {
         break;
       case MetricKind::kCounter:
         w.Key("value").Uint(m.count);
-        break;
-      case MetricKind::kRatio:
-        w.Key("value").Double(m.value);
-        w.Key("numerator").Double(m.numerator);
-        w.Key("denominator").Double(m.denominator);
         break;
       case MetricKind::kHistogram:
         w.Key("count").Uint(m.count);

@@ -15,21 +15,18 @@ class LogHistogram;
 enum class MetricKind : uint8_t {
   kScalar,     // point-in-time double (seconds, bytes/s, tuples/s)
   kCounter,    // monotone event count, exact uint64
-  kRatio,      // numerator / denominator, both kept so 0/0 stays explicit
   kHistogram,  // distribution summary: count/sum/min/max + p50/p95/p99
 };
 
 const char* MetricKindName(MetricKind kind);
 
 // One named metric. Dotted lower-case names by convention
-// ("run.seconds", "counter.translation_requests", "ratio.tlb_hit_rate").
+// ("run.seconds", "counter.translation_requests").
 struct Metric {
   MetricKind kind = MetricKind::kScalar;
   std::string unit;         // "s", "bytes", "1" for dimensionless, ...
-  double value = 0;         // kScalar value, or kRatio num/den (0 if den 0)
+  double value = 0;         // kScalar value
   uint64_t count = 0;       // kCounter value, or kHistogram sample count
-  double numerator = 0;     // kRatio parts
-  double denominator = 0;
   double sum = 0;           // kHistogram summary
   double min = 0;
   double max = 0;
@@ -46,11 +43,6 @@ class MetricsRegistry {
   void SetScalar(std::string_view name, double value, std::string_view unit);
   void SetCounter(std::string_view name, uint64_t value,
                   std::string_view unit);
-  // Accumulates onto an existing counter (registers at `delta` if new).
-  void AddCounter(std::string_view name, uint64_t delta,
-                  std::string_view unit);
-  void SetRatio(std::string_view name, double numerator, double denominator,
-                std::string_view unit);
   // Snapshots a histogram's summary (count/sum/min/max, p50/p95/p99).
   void SetHistogram(std::string_view name, const LogHistogram& hist,
                     std::string_view unit);

@@ -58,7 +58,6 @@ class PhaseTimeline : public sim::AccessObserver, public sim::PhaseSink {
   // cost model (when present). Open frames are not included.
   std::vector<sim::PhaseSpan> Spans() const;
 
-  size_t open_depth() const { return open_.size(); }
   void Reset();
 
  private:

@@ -4,41 +4,6 @@
 
 namespace gpujoin::obs {
 
-bool RobustnessStats::any() const {
-  if (!failovers.empty()) return true;
-  if (reexec_windows != 0) return true;
-  if (detection_seconds != 0 || slow_delay_seconds != 0) return true;
-  if (retries != 0 || hedges != 0 || hedge_wins != 0) return true;
-  if (deadline_misses != 0 || shed_deadline != 0 ||
-      shed_retry_exhausted != 0) {
-    return true;
-  }
-  for (uint64_t count : retry_histogram) {
-    if (count != 0) return true;
-  }
-  return false;
-}
-
-void RobustnessStats::Merge(const RobustnessStats& other) {
-  failovers.insert(failovers.end(), other.failovers.begin(),
-                   other.failovers.end());
-  reexec_windows += other.reexec_windows;
-  detection_seconds += other.detection_seconds;
-  slow_delay_seconds += other.slow_delay_seconds;
-  retries += other.retries;
-  hedges += other.hedges;
-  hedge_wins += other.hedge_wins;
-  deadline_misses += other.deadline_misses;
-  shed_deadline += other.shed_deadline;
-  shed_retry_exhausted += other.shed_retry_exhausted;
-  if (retry_histogram.size() < other.retry_histogram.size()) {
-    retry_histogram.resize(other.retry_histogram.size(), 0);
-  }
-  for (size_t i = 0; i < other.retry_histogram.size(); ++i) {
-    retry_histogram[i] += other.retry_histogram[i];
-  }
-}
-
 std::string RobustnessJson(const RobustnessStats& stats) {
   JsonWriter w;
   w.BeginObject();

@@ -46,10 +46,6 @@ struct RobustnessStats {
   uint64_t shed_retry_exhausted = 0;  // dropped: retry cap hit
   // retry_histogram[k] = requests that needed exactly k retries.
   std::vector<uint64_t> retry_histogram;
-
-  bool any() const;
-  // Fold `other` into this (bench sweeps aggregate per-cell stats).
-  void Merge(const RobustnessStats& other);
 };
 
 // The stats as a JSON object, spliced into a bench record with

@@ -12,11 +12,15 @@ namespace gpujoin::partition {
 
 Result<RadixPartitionSpec> PlanPartitionBits(
     const workload::KeyColumn& column, int max_bits, int ignore_lsb) {
+  if (max_bits < 1) {
+    return Status::InvalidArgument("max_partition_bits must be >= 1, got " +
+                                   std::to_string(max_bits));
+  }
   const Key max_key = column.max_key();
   if (max_key <= 0) {
     // A zero-width key domain (all-zeros column, or a single key 0) has
     // nothing to partition on; plan the trivial single-bucket layout
-    // instead of failing, so such columns still run under FailStop().
+    // instead of failing, so such columns still run under fail_stop.
     return RadixPartitionSpec{.bits = 1, .shift = 0};
   }
   const int key_bits =

@@ -33,6 +33,7 @@ struct RadixPartitionSpec {
 // `ignore_lsb` least significant bits (paper Sec. 4.3.1 ignores 4).
 // A zero-width key domain (max_key <= 0) degrades to the trivial
 // single-bucket plan {bits = 1, shift = 0} rather than failing.
+// InvalidArgument naming max_partition_bits when `max_bits` < 1.
 Result<RadixPartitionSpec> PlanPartitionBits(
     const workload::KeyColumn& column, int max_bits = 11, int ignore_lsb = 4);
 

@@ -24,6 +24,8 @@ Result<std::unique_ptr<PlannedBackend>> PlannedBackend::Create(
     return Status::InvalidArgument(
         "planned backend needs at least one candidate index type");
   }
+  Status planner_status = config.planner.Validate();
+  if (!planner_status.ok()) return planner_status;
 
   auto backend = std::unique_ptr<PlannedBackend>(new PlannedBackend());
   backend->config_ = config;

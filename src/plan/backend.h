@@ -113,8 +113,6 @@ class PlannedBackend : public serve::WindowBackend {
 
   PlannedBackend() = default;
 
-  Engine& EngineFor(index::IndexType type) { return engines_.at(type); }
-
   // Functional hash-join ground truth: matches of s[begin, begin+count)
   // against R (the baseline collects no matches, and R is sorted unique,
   // so a probe key's match position is its lower bound in R — identical

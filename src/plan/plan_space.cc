@@ -9,6 +9,13 @@ namespace {
 
 using core::InljConfig;
 
+// Window sizes of the kWindowed candidates, in probe tuples.
+constexpr uint64_t kWindowLadder[] = {
+    uint64_t{1} << 15,
+    uint64_t{1} << 17,
+    uint64_t{1} << 19,
+};
+
 // Dominance rules (documented once, applied in EnumeratePlans):
 //
 //  1. R well inside the TLB range (r_bytes * 2 <= tlb_coverage): drop
@@ -22,16 +29,14 @@ using core::InljConfig;
 //     goes translation-bound (Fig. 3/4); any partitioned variant
 //     dominates.
 //  3. Window entries no smaller than the batch collapse onto kFull (one
-//     window == partition everything up front), so only the first such
-//     entry is kept — and dropped entirely when kFull is already a
-//     candidate.
+//     window == partition everything up front), which is always a
+//     candidate, so they are dropped.
 //  4. Hash join scans all of R for every batch. When that scan moves
 //     more bytes than the worst INLJ candidate could gather
 //     (r_bytes > batch_tuples * 2 KiB, i.e. more than ~16 cachelines
 //     per probe tuple), the INLJ dominates on the same link.
 bool KeepInlj(const PlanSpaceConfig& config, const PruneContext& ctx,
-              InljConfig::PartitionMode mode, uint64_t window_tuples,
-              bool* saw_full_window) {
+              InljConfig::PartitionMode mode, uint64_t window_tuples) {
   const bool partitioned = mode != InljConfig::PartitionMode::kNone;
   if (!config.prune) return true;
   if (ctx.r_bytes > 0 && ctx.tlb_coverage > 0) {
@@ -40,9 +45,7 @@ bool KeepInlj(const PlanSpaceConfig& config, const PruneContext& ctx,
   }
   if (mode == InljConfig::PartitionMode::kWindowed &&
       ctx.batch_tuples > 0 && window_tuples >= ctx.batch_tuples) {
-    if (*saw_full_window) return false;
-    *saw_full_window = true;
-    if (config.include_full) return false;  // identical to the kFull entry
+    return false;  // identical to the kFull entry
   }
   return true;
 }
@@ -73,10 +76,11 @@ Result<PlannerMode> ParsePlannerMode(std::string_view name) {
 std::string PlanChoice::Name() const {
   if (kind == Kind::kHashJoin) return "hash_join";
   std::string name = index::IndexTypeName(index_type);
-  name += "/";
+  name += '/';
   name += core::PartitionModeName(mode);
   if (mode == core::InljConfig::PartitionMode::kWindowed) {
-    name += "/" + std::to_string(window_tuples);
+    name += '/';
+    name += std::to_string(window_tuples);
   }
   return name;
 }
@@ -93,22 +97,19 @@ std::vector<PlanChoice> EnumeratePlans(const PlanSpaceConfig& config,
                                        const PruneContext& context) {
   std::vector<PlanChoice> plans;
   for (index::IndexType type : config.indexes) {
-    bool saw_full_window = false;
-    if (config.include_unpartitioned &&
-        KeepInlj(config, context, core::InljConfig::PartitionMode::kNone, 0,
-                 &saw_full_window)) {
+    if (KeepInlj(config, context, core::InljConfig::PartitionMode::kNone,
+                 0)) {
       plans.push_back({PlanChoice::Kind::kInlj, type,
                        core::InljConfig::PartitionMode::kNone, 0});
     }
-    if (config.include_full &&
-        KeepInlj(config, context, core::InljConfig::PartitionMode::kFull, 0,
-                 &saw_full_window)) {
+    if (KeepInlj(config, context, core::InljConfig::PartitionMode::kFull,
+                 0)) {
       plans.push_back({PlanChoice::Kind::kInlj, type,
                        core::InljConfig::PartitionMode::kFull, 0});
     }
-    for (uint64_t w : config.window_ladder) {
+    for (uint64_t w : kWindowLadder) {
       if (KeepInlj(config, context, core::InljConfig::PartitionMode::kWindowed,
-                   w, &saw_full_window)) {
+                   w)) {
         plans.push_back({PlanChoice::Kind::kInlj, type,
                          core::InljConfig::PartitionMode::kWindowed, w});
       }
@@ -125,77 +126,6 @@ std::vector<PlanChoice> EnumeratePlans(const PlanSpaceConfig& config,
     }
   }
   return plans;
-}
-
-Result<PlanChoice> ParsePlanChoice(std::string_view name) {
-  if (name == "hash_join") {
-    PlanChoice hash;
-    hash.kind = PlanChoice::Kind::kHashJoin;
-    return hash;
-  }
-  const size_t slash = name.find('/');
-  if (slash == std::string_view::npos) {
-    return Status::InvalidArgument(
-        "plan '" + std::string(name) +
-        "' is not hash_join or <index>/<mode>[/<window_tuples>]");
-  }
-  const std::string_view index_name = name.substr(0, slash);
-  std::string_view rest = name.substr(slash + 1);
-
-  PlanChoice plan;
-  plan.kind = PlanChoice::Kind::kInlj;
-  bool found = false;
-  for (index::IndexType type :
-       {index::IndexType::kBinarySearch, index::IndexType::kBTree,
-        index::IndexType::kHarmonia, index::IndexType::kRadixSpline}) {
-    if (index_name == index::IndexTypeName(type)) {
-      plan.index_type = type;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    return Status::InvalidArgument("unknown index '" +
-                                   std::string(index_name) + "'");
-  }
-
-  std::string_view mode_name = rest;
-  std::string_view window;
-  const size_t slash2 = rest.find('/');
-  if (slash2 != std::string_view::npos) {
-    mode_name = rest.substr(0, slash2);
-    window = rest.substr(slash2 + 1);
-  }
-  if (mode_name == "none") {
-    plan.mode = core::InljConfig::PartitionMode::kNone;
-  } else if (mode_name == "full") {
-    plan.mode = core::InljConfig::PartitionMode::kFull;
-  } else if (mode_name == "windowed") {
-    plan.mode = core::InljConfig::PartitionMode::kWindowed;
-  } else {
-    return Status::InvalidArgument("unknown partition mode '" +
-                                   std::string(mode_name) + "'");
-  }
-  plan.window_tuples = 0;
-  if (plan.mode == core::InljConfig::PartitionMode::kWindowed) {
-    if (window.empty()) {
-      return Status::InvalidArgument(
-          "windowed plan needs a window size: <index>/windowed/<tuples>");
-    }
-    uint64_t tuples = 0;
-    for (char c : window) {
-      if (c < '0' || c > '9') {
-        return Status::InvalidArgument("bad window size '" +
-                                       std::string(window) + "'");
-      }
-      tuples = tuples * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (tuples == 0) {
-      return Status::InvalidArgument("window size must be positive");
-    }
-    plan.window_tuples = tuples;
-  }
-  return plan;
 }
 
 }  // namespace gpujoin::plan

@@ -54,14 +54,6 @@ struct PlanSpaceConfig {
       index::IndexType::kHarmonia,
       index::IndexType::kRadixSpline,
   };
-  // Window-size ladder for kWindowed candidates, in probe tuples.
-  std::vector<uint64_t> window_ladder = {
-      uint64_t{1} << 15,
-      uint64_t{1} << 17,
-      uint64_t{1} << 19,
-  };
-  bool include_unpartitioned = true;  // kNone candidates
-  bool include_full = true;           // kFull candidates
   bool include_hash_join = true;
   // Apply the dominance rules below. The oracle's measurement pass
   // disables pruning so every static {index, mode, window} choice stays
@@ -79,17 +71,15 @@ struct PruneContext {
   uint64_t batch_tuples = 0;
 };
 
-// Enumerates the candidate plans for `config`, applying the dominance
-// rules when config.prune (see plan_space.cc for the rules and their
-// grounding in the paper's figures). Order is deterministic: indexes in
-// config order, modes kNone < kFull < kWindowed, windows ladder order,
-// hash join last.
+// Enumerates the candidate plans for `config`: per index a kNone, a kFull
+// and one kWindowed candidate per window of the ladder {2^15, 2^17,
+// 2^19} probe tuples, then the hash join. Applies the dominance rules
+// when config.prune (see plan_space.cc for the rules and their grounding
+// in the paper's figures). Order is deterministic: indexes in config
+// order, modes kNone < kFull < kWindowed, windows ladder order, hash
+// join last.
 std::vector<PlanChoice> EnumeratePlans(const PlanSpaceConfig& config,
                                        const PruneContext& context);
-
-// Parses a PlanChoice::Name() back into a choice ("hash_join",
-// "<index>/<mode>", "<index>/windowed/<tuples>").
-Result<PlanChoice> ParsePlanChoice(std::string_view name);
 
 }  // namespace gpujoin::plan
 

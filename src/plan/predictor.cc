@@ -158,10 +158,10 @@ void ResidualModel::Observe(const PlanChoice& plan, int bucket,
   // comment), later ones blend at alpha.
   auto [it, inserted] =
       ratios_.try_emplace(std::make_pair(plan.Name(), bucket),
-                          util::Ewma(alpha_));
+                          util::Ewma(kAlpha));
   it->second.Observe(ratio);
   auto [pooled, pooled_inserted] =
-      bucket_ratios_.try_emplace(bucket, util::Ewma(alpha_));
+      bucket_ratios_.try_emplace(bucket, util::Ewma(kAlpha));
   pooled->second.Observe(ratio);
   ++observations_;
 }

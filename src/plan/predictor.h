@@ -32,8 +32,8 @@ double PredictSeconds(const PlanContext& ctx, const PlanChoice& plan,
 // Online multiplicative correction: one EWMA of actual/predicted per
 // (plan, feature bucket), fed the charged seconds after each routed
 // batch completes. Corrected cost = seed * smoothed ratio. A cell adopts
-// its first observation outright and blends at `alpha` afterwards — one
-// mispriced try is enough to re-rank a candidate.
+// its first observation outright and blends at alpha = 0.25 afterwards —
+// one mispriced try is enough to re-rank a candidate.
 //
 // An unvisited cell falls back to the bucket's pooled ratio over every
 // plan observed there, and to the raw seed when the bucket is fresh.
@@ -44,8 +44,6 @@ double PredictSeconds(const PlanContext& ctx, const PlanChoice& plan,
 // batch ahead of an already-measured good plan.
 class ResidualModel {
  public:
-  explicit ResidualModel(double alpha = 0.25) : alpha_(alpha) {}
-
   double Correct(const PlanChoice& plan, int bucket,
                  double predicted) const;
 
@@ -58,7 +56,8 @@ class ResidualModel {
   uint64_t observations() const { return observations_; }
 
  private:
-  double alpha_;
+  static constexpr double kAlpha = 0.25;
+
   std::map<std::pair<std::string, int>, util::Ewma> ratios_;
   std::map<int, util::Ewma> bucket_ratios_;
   uint64_t observations_ = 0;

@@ -1,10 +1,25 @@
 #include "plan/router.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/check.h"
 
 namespace gpujoin::plan {
+
+Status PlannerConfig::Validate() const {
+  if (!(epsilon >= 0 && epsilon <= 1)) {
+    return Status::InvalidArgument("planner.epsilon must lie in [0, 1], got " +
+                                   std::to_string(epsilon));
+  }
+  if (!(explore_ceiling >= 1) || !std::isfinite(explore_ceiling)) {
+    return Status::InvalidArgument(
+        "planner.explore_ceiling must be finite and >= 1, got " +
+        std::to_string(explore_ceiling));
+  }
+  return Status::Ok();
+}
 
 double Planner::CorrectedSeconds(const PlanContext& ctx,
                                  const PlanChoice& plan,

@@ -8,6 +8,7 @@
 #include "plan/plan_space.h"
 #include "plan/predictor.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace gpujoin::plan {
 
@@ -26,8 +27,11 @@ struct PlannerConfig {
   // exceeds explore_ceiling x the best candidate's — bounds the regret
   // a single exploration step can cost.
   double explore_ceiling = 4.0;
-  double residual_alpha = 0.25;
   uint64_t seed = 7;
+
+  // InvalidArgument naming the field: epsilon must lie in [0, 1] and
+  // explore_ceiling must be finite and >= 1.
+  Status Validate() const;
 };
 
 struct RoutingDecision {
@@ -51,7 +55,6 @@ class Planner {
  public:
   explicit Planner(const PlannerConfig& config)
       : config_(config),
-        residuals_(config.residual_alpha),
         rng_(SplitMix64(config.seed ^ 0x51c3a9f47be206d5ULL)) {}
 
   RoutingDecision Decide(const PlanContext& ctx,

@@ -52,14 +52,8 @@ bool ResultCache::Lookup(uint64_t key, std::vector<core::JoinMatch>* replay,
       config_.probe_depth_lines);
   stats_.hit_seconds += charge;
   if (service_seconds != nullptr) *service_seconds += charge;
-  if (config_.eviction == ResultCacheConfig::Eviction::kLru) {
-    // Refresh recency: move to the front. Splicing the hand's node would
-    // leave hand_ pointing into the reordered list, but LRU mode never
-    // uses hand_, so keep it parked at end().
-    entries_.splice(entries_.begin(), entries_, it->second);
-  } else {
-    entry.referenced = true;
-  }
+  // Refresh recency: move to the front.
+  entries_.splice(entries_.begin(), entries_, it->second);
   return true;
 }
 
@@ -93,53 +87,19 @@ void ResultCache::Insert(uint64_t key, std::vector<core::JoinMatch> matches,
   entry.key = key;
   entry.bytes = bytes;
   entry.matches = std::move(matches);
-  if (config_.eviction == ResultCacheConfig::Eviction::kLru) {
-    entries_.push_front(std::move(entry));
-    map_.emplace(key, entries_.begin());
-  } else {
-    // Clock keeps a circular insertion-order list; new entries join just
-    // before the hand (i.e. at the end of the sweep order) with their
-    // reference bit clear, the classic second-chance placement.
-    auto pos = entries_.insert(
-        hand_ == entries_.end() ? entries_.end() : hand_, std::move(entry));
-    map_.emplace(key, pos);
-    if (hand_ == entries_.end()) hand_ = pos;
-  }
+  entries_.push_front(std::move(entry));
+  map_.emplace(key, entries_.begin());
   used_bytes_ += bytes;
   ++stats_.insertions;
 }
 
 void ResultCache::EvictOne() {
   if (entries_.empty()) return;
-  if (config_.eviction == ResultCacheConfig::Eviction::kLru) {
-    Entry& victim = entries_.back();
-    used_bytes_ -= victim.bytes;
-    map_.erase(victim.key);
-    entries_.pop_back();
-    ++stats_.evictions;
-    return;
-  }
-  // Clock: sweep from the hand, clearing reference bits, and evict the
-  // first unreferenced entry. Bounded: one full revolution clears every
-  // bit, so the second visit of any entry evicts it.
-  if (hand_ == entries_.end()) hand_ = entries_.begin();
-  while (true) {
-    if (hand_->referenced) {
-      hand_->referenced = false;
-      ++hand_;
-      if (hand_ == entries_.end()) hand_ = entries_.begin();
-      continue;
-    }
-    auto victim = hand_;
-    ++hand_;
-    used_bytes_ -= victim->bytes;
-    map_.erase(victim->key);
-    entries_.erase(victim);
-    if (hand_ == entries_.end()) hand_ = entries_.begin();
-    if (entries_.empty()) hand_ = entries_.end();
-    ++stats_.evictions;
-    return;
-  }
+  Entry& victim = entries_.back();
+  used_bytes_ -= victim.bytes;
+  map_.erase(victim.key);
+  entries_.pop_back();
+  ++stats_.evictions;
 }
 
 obs::CacheStats ResultCache::FinalStats() const {

@@ -26,13 +26,6 @@ struct ResultCacheConfig {
   // the cache.
   uint64_t reserved_bytes = 0;
 
-  // Deterministic eviction policy: strict LRU (recency list) or the
-  // clock/second-chance approximation (one reference bit, a sweeping
-  // hand). Both evict the same entries for the same operation sequence
-  // every run.
-  enum class Eviction : uint8_t { kLru, kClock };
-  Eviction eviction = Eviction::kLru;
-
   // Dependent cachelines of the directory probe charged per lookup and
   // per install (sim::CostModel::CacheServeSeconds).
   uint32_t probe_depth_lines = 2;
@@ -48,13 +41,13 @@ struct ResultCacheConfig {
 };
 
 // Deterministic memoization of per-key join results in front of a
-// serve::WindowBackend. Single-threaded like the serving event loop it
-// runs in: a fixed config and operation sequence reproduce hits, misses
-// and evictions bit for bit at any sweep --threads value. Hits are
-// charged through sim::CostModel (directory probe + streaming the
-// memoized bytes), installs likewise, and the reservation itself goes
-// through sim::MemoryModel — hit-rate vs reserved bytes is a modeled
-// tradeoff, not a free win.
+// serve::WindowBackend, evicting in strict LRU order. Single-threaded
+// like the serving event loop it runs in: a fixed config and operation
+// sequence reproduce hits, misses and evictions bit for bit at any
+// sweep --threads value. Hits are charged through sim::CostModel
+// (directory probe + streaming the memoized bytes), installs likewise,
+// and the reservation itself goes through sim::MemoryModel — hit-rate
+// vs reserved bytes is a modeled tradeoff, not a free win.
 class ResultCache {
  public:
   static Result<std::unique_ptr<ResultCache>> Create(
@@ -71,11 +64,10 @@ class ResultCache {
   bool Lookup(uint64_t key, std::vector<core::JoinMatch>* replay,
               double* service_seconds);
 
-  // Installs the memoized result for `key`, evicting deterministically
-  // (LRU tail / clock hand) until it fits; an entry larger than the
-  // whole reservation is skipped and counted. Adds the simulated install
-  // charge to *service_seconds. A key already present is refreshed, not
-  // duplicated.
+  // Installs the memoized result for `key`, evicting from the LRU tail
+  // until it fits; an entry larger than the whole reservation is skipped
+  // and counted. Adds the simulated install charge to *service_seconds.
+  // A key already present is refreshed, not duplicated.
   void Insert(uint64_t key, std::vector<core::JoinMatch> matches,
               double* service_seconds);
 
@@ -90,7 +82,6 @@ class ResultCache {
   struct Entry {
     uint64_t key = 0;
     uint64_t bytes = 0;
-    bool referenced = false;  // clock reference bit
     std::vector<core::JoinMatch> matches;
   };
 
@@ -111,11 +102,9 @@ class ResultCache {
   const sim::CostModel* cost_;
   mem::Region region_;  // the simulated reservation backing the cache
 
-  // Recency list: front = most recent (LRU mode). Clock mode keeps
-  // insertion order and sweeps hand_ instead.
+  // Recency list: front = most recent.
   std::list<Entry> entries_;
   std::map<uint64_t, std::list<Entry>::iterator> map_;
-  std::list<Entry>::iterator hand_ = entries_.end();
   uint64_t used_bytes_ = 0;
   obs::CacheStats stats_;
 };

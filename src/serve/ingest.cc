@@ -15,6 +15,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // positions (which are < 2^40 for any modeled relation) while staying
 // clear of the delta's tombstone bit.
 constexpr uint64_t kValueTag = uint64_t{1} << 40;
+// Op mix: the remainder (1 - insert - update) is the delete fraction.
+constexpr double kInsertFraction = 0.5;
+constexpr double kUpdateFraction = 0.3;
 }  // namespace
 
 Result<std::unique_ptr<IngestCoordinator>> IngestCoordinator::Create(
@@ -27,11 +30,6 @@ Result<std::unique_ptr<IngestCoordinator>> IngestCoordinator::Create(
   if (config.ops.rate < 0 || !std::isfinite(config.ops.rate)) {
     return Status::InvalidArgument(
         "ingest rate must be finite and >= 0 (0 disables ingest)");
-  }
-  if (config.insert_fraction < 0 || config.update_fraction < 0 ||
-      config.insert_fraction + config.update_fraction > 1) {
-    return Status::InvalidArgument(
-        "ingest op fractions must be nonnegative with insert + update <= 1");
   }
   if (config.merge_threshold == 0) {
     return Status::InvalidArgument("merge_threshold must be positive");
@@ -77,14 +75,14 @@ void IngestCoordinator::GenerateNextOp() {
   Op op;
   op.at_seconds = gen_.Next();
   const double draw = rng_.NextDouble();
-  if (draw < config_.insert_fraction) {
+  if (draw < kInsertFraction) {
     op.kind = Op::Kind::kInsert;
     // Appends: fresh keys grow past the base's tail, the common
     // time-ordered primary-key pattern. This skews insert load to the
     // tail key range's owner, which is exactly the hot-shard behaviour
     // an append-heavy HTAP mix produces.
     op.key = next_fresh_key_++;
-  } else if (draw < config_.insert_fraction + config_.update_fraction) {
+  } else if (draw < kInsertFraction + kUpdateFraction) {
     op.kind = Op::Kind::kUpdate;
     op.key = static_cast<Key>(rng_.NextBounded(base_size_));  // position
   } else {

@@ -47,12 +47,10 @@ class IngestCoordinator {
     // Op arrival process; rate 0 (or a non-positive rate) disables the
     // coordinator entirely — the server's event sequence is then
     // bit-identical to a run with no coordinator attached.
+    // The op mix is 50% inserts, 30% updates and 20% deletes: inserts
+    // append fresh keys past the base column's max key; updates and
+    // deletes draw uniform existing base keys.
     ArrivalConfig ops{ArrivalModel::kPoisson, /*rate=*/0, 4.0, 1e-3, 42};
-    // Op mix: inserts append fresh keys past the base column's max key;
-    // updates and deletes draw uniform existing base keys. The remainder
-    // (1 - insert - update) is the delete fraction.
-    double insert_fraction = 0.5;
-    double update_fraction = 0.3;
     // Active-delta entries per shard that trigger a background merge.
     uint64_t merge_threshold = uint64_t{1} << 14;
     uint64_t seed = 42;
@@ -107,9 +105,6 @@ class IngestCoordinator {
   const obs::IngestStats& stats() const { return stats_; }
   const std::vector<Op>& log() const { return log_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  const index::HybridIndex& shard_hybrid(int shard) const {
-    return *shards_[shard].hybrid;
-  }
 
  private:
   struct ShardState {

@@ -125,7 +125,7 @@ struct ServeConfig {
   bool collect_matches = false;
 };
 
-// Event counts in the style of core::RecoveryPolicy's degradation
+// Event counts in the style of the INLJ recovery ladder's degradation
 // counters: shedding is the serving layer's graceful-degradation rung.
 struct ServeCounters {
   uint64_t requests_admitted = 0;

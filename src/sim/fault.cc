@@ -204,26 +204,6 @@ Status DeviceFaultConfig::Validate(int num_shards) const {
       return Status::InvalidArgument(where + ": duration_seconds is NaN");
     }
   }
-  if (random_slow_rate < 0 || !std::isfinite(random_slow_rate)) {
-    return Status::InvalidArgument(
-        "device fault config: random_slow_rate must be finite and >= 0");
-  }
-  if (random_slow_rate > 0) {
-    if (!(random_slow_duration > 0)) {
-      return Status::InvalidArgument(
-          "device fault config: random_slow_duration must be > 0");
-    }
-    if (!(random_slow_factor >= 1)) {
-      return Status::InvalidArgument(
-          "device fault config: random_slow_factor must be >= 1");
-    }
-    if (random_horizon_seconds < 0 ||
-        !std::isfinite(random_horizon_seconds)) {
-      return Status::InvalidArgument(
-          "device fault config: random_horizon_seconds must be finite "
-          "and >= 0");
-    }
-  }
   return Status::Ok();
 }
 
@@ -255,33 +235,6 @@ DeviceFaultTimeline::DeviceFaultTimeline(const DeviceFaultConfig& config,
         break;
     }
     episodes_[static_cast<size_t>(e.shard)].push_back(ep);
-  }
-
-  // Seeded random slow episodes: one independent substream per shard so
-  // the schedule for shard k does not depend on num_shards' other draws.
-  if (config.random_slow_rate > 0 && config.random_horizon_seconds > 0) {
-    for (int shard = 0; shard < num_shards; ++shard) {
-      Xoshiro256 rng(SplitMix64(config.seed +
-                                uint64_t{0x9E3779B97F4A7C15} *
-                                    static_cast<uint64_t>(shard + 1)));
-      double t = 0;
-      for (;;) {
-        // Exponential inter-arrival gap at `random_slow_rate` per second.
-        const double u = rng.NextDouble();
-        t += -std::log1p(-u) / config.random_slow_rate;
-        if (t >= config.random_horizon_seconds) break;
-        const double v = rng.NextDouble();
-        const double dur =
-            -std::log1p(-v) * config.random_slow_duration;
-        Episode ep;
-        ep.cls = DeviceFaultClass::kShardSlow;
-        ep.begin = t;
-        ep.end = t + dur;
-        ep.factor = config.random_slow_factor;
-        episodes_[static_cast<size_t>(shard)].push_back(ep);
-        t = ep.end;
-      }
-    }
   }
 
   for (auto& list : episodes_) {

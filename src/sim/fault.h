@@ -164,34 +164,21 @@ struct DeviceFaultEvent {
   double slow_factor = 4.0;      // kShardSlow: device-time multiplier
 };
 
-// Deterministic device-fault schedule: explicit events plus optionally a
-// seeded stream of random slow episodes per shard (exponential gaps at
-// `random_slow_rate` episodes per simulated second over
-// `random_horizon_seconds`). Empty config = no device faults, and every
-// scheduler path is bit-identical to a build without this machinery.
+// Deterministic device-fault schedule: a list of explicit events. Empty
+// config = no device faults, and every scheduler path is bit-identical
+// to a build without this machinery.
 struct DeviceFaultConfig {
-  uint64_t seed = 0xDEAD;
   std::vector<DeviceFaultEvent> events;
 
-  // Seeded random slow-shard episodes (0 disables).
-  double random_slow_rate = 0;          // episodes / simulated second
-  double random_slow_duration = 1e-4;   // mean episode length, seconds
-  double random_slow_factor = 4.0;
-  double random_horizon_seconds = 0;    // generate episodes in [0, horizon)
-
-  bool enabled() const {
-    return !events.empty() ||
-           (random_slow_rate > 0 && random_horizon_seconds > 0);
-  }
+  bool enabled() const { return !events.empty(); }
 
   // InvalidArgument naming the offending field when an event is malformed
   // (negative start time, slow factor < 1, shard out of [0, num_shards)).
   Status Validate(int num_shards) const;
 };
 
-// The materialized per-shard episode list the scheduler queries. All
-// episodes (explicit and random) are generated at construction from the
-// seed, so a (config, num_shards) pair always yields the same timeline.
+// The materialized per-shard episode list the scheduler queries, built
+// from the config's events at construction and sorted by begin time.
 class DeviceFaultTimeline {
  public:
   struct Episode {
@@ -217,9 +204,6 @@ class DeviceFaultTimeline {
   double DelaySeconds(int shard, double t, double busy) const;
 
   bool enabled() const { return enabled_; }
-  const std::vector<Episode>& episodes(int shard) const {
-    return episodes_[shard];
-  }
 
  private:
   bool enabled_ = false;

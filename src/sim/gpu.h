@@ -45,7 +45,6 @@ class Warp {
       : memory_(memory), base_item_(base_item), lane_count_(lane_count) {}
 
   int lane_count() const { return lane_count_; }
-  uint64_t item(int lane) const { return base_item_ + lane; }
   uint64_t base_item() const { return base_item_; }
 
   // Mask with bits 0..lane_count-1 set.
@@ -111,9 +110,6 @@ class Gpu {
 
   double TimeOf(const KernelRun& run) const {
     return cost_model_.Seconds(run.counters);
-  }
-  TimeBreakdown BreakdownOf(const KernelRun& run) const {
-    return cost_model_.Breakdown(run.counters);
   }
 
   MemoryModel& memory() { return memory_; }

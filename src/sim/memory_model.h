@@ -104,7 +104,6 @@ class MemoryModel {
   // a single branch and all counters are bit-identical to a build without
   // the fault layer.
   void SetFaultInjector(FaultInjector* fault) { fault_ = fault; }
-  FaultInjector* fault_injector() const { return fault_; }
 
   // First unrecoverable injected fault, or OK. The hot paths (TouchLine,
   // Stream) are void, so fatal faults latch on the injector; kernels check

@@ -22,7 +22,7 @@ struct RunResult {
   uint64_t result_tuples = 0;
 
   // Graceful-degradation outcomes (all zero/false on a clean run; see
-  // sim/fault.h and core::RecoveryPolicy). Extrapolated to full scale
+  // sim/fault.h and core::InljConfig::fail_stop). Extrapolated to full scale
   // like the counters.
   uint64_t spilled_tuples = 0;    // bucket-overflow tuples spill-chained
   uint64_t spill_buckets = 0;

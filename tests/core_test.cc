@@ -3,6 +3,7 @@
 #include <ios>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/experiment.h"
 #include "core/inlj.h"
@@ -154,6 +155,30 @@ TEST(Experiment, BinarySearchFitsWhereTreesDoNot) {
   cfg.s_sample = 1 << 10;
   auto exp = Experiment::Create(cfg);
   EXPECT_TRUE(exp.ok()) << exp.status().ToString();
+}
+
+// A radix plan needs at least one partition bit. Both partitioned modes
+// reject fewer with an InvalidArgument naming the knob, never an abort.
+TEST(Experiment, ZeroPartitionBitsAreRejectedByName) {
+  for (InljConfig::PartitionMode mode :
+       {InljConfig::PartitionMode::kWindowed,
+        InljConfig::PartitionMode::kFull}) {
+    SCOPED_TRACE(PartitionModeName(mode));
+    ExperimentConfig cfg;
+    cfg.r_tuples = 1 << 20;
+    cfg.s_tuples = 1 << 14;
+    cfg.s_sample = 1 << 12;
+    cfg.inlj = ModeConfig(mode);
+    cfg.inlj.max_partition_bits = 0;
+    auto exp = Experiment::Create(cfg);
+    ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+    auto res = (*exp)->RunInlj();
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(res.status().ToString().find("max_partition_bits"),
+              std::string::npos)
+        << res.status().ToString();
+  }
 }
 
 TEST(Experiment, InljAndHashJoinAgreeOnResultSize) {

@@ -442,7 +442,9 @@ TEST_F(DynamicBTreeTest, InterleavedChurnWarpDifferentialVsMap) {
     for (size_t i = 0; i < probes.size(); ++i) {
       auto it = reference.find(probes[i]);
       ASSERT_EQ(found[i], it != reference.end()) << probes[i];
-      if (it != reference.end()) EXPECT_EQ(values[i], it->second);
+      if (it != reference.end()) {
+        EXPECT_EQ(values[i], it->second);
+      }
     }
   };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "index/btree.h"
@@ -66,8 +67,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(256u, 512u, 1024u, 4096u, 16384u),
                        ::testing::Values(0.5, 0.7, 0.9, 1.0)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_f" +
-             std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_f";
+      name += std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
+      return name;
     });
 
 class HarmoniaConfigTest
@@ -90,8 +94,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4u, 8u, 16u, 32u, 64u, 256u),
                        ::testing::Values(1, 4, 32)),
     [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "k";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_w";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // Dense columns with non-unit strides and offsets.

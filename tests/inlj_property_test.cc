@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -130,7 +131,9 @@ INSTANTIATE_TEST_SUITE_P(Windows, WindowSizeTest,
                                            uint64_t{1} << 21,
                                            uint64_t{1} << 24),
                          [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                           std::string name = "w";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // --- Spill to host -----------------------------------------------------------
@@ -207,7 +210,7 @@ TEST_P(SkewOverflowTest, FailStopAbortsWhereGracefulSurvives) {
   cfg.inlj.mode = Mode::kWindowed;
   cfg.inlj.window_tuples = uint64_t{1} << 12;
   cfg.inlj.bucket_slack = 1.25;
-  cfg.inlj.recovery = RecoveryPolicy::FailStop();
+  cfg.inlj.fail_stop = true;
 
   auto exp = Experiment::Create(cfg);
   ASSERT_TRUE(exp.ok());

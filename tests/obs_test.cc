@@ -74,7 +74,6 @@ TEST(MetricsRegistry, RegistersAllKinds) {
   MetricsRegistry reg;
   reg.SetScalar("run.seconds", 1.5, "s");
   reg.SetCounter("counter.faults", 3, "1");
-  reg.SetRatio("ratio.hit_rate", 9, 12, "1");
 
   const Metric* scalar = reg.Find("run.seconds");
   ASSERT_NE(scalar, nullptr);
@@ -84,29 +83,6 @@ TEST(MetricsRegistry, RegistersAllKinds) {
   const Metric* counter = reg.Find("counter.faults");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->count, 3u);
-
-  const Metric* ratio = reg.Find("ratio.hit_rate");
-  ASSERT_NE(ratio, nullptr);
-  EXPECT_DOUBLE_EQ(ratio->value, 0.75);
-  EXPECT_DOUBLE_EQ(ratio->numerator, 9);
-  EXPECT_DOUBLE_EQ(ratio->denominator, 12);
-}
-
-TEST(MetricsRegistry, ZeroDenominatorStaysExplicit) {
-  MetricsRegistry reg;
-  reg.SetRatio("r", 5, 0, "1");
-  const Metric* m = reg.Find("r");
-  ASSERT_NE(m, nullptr);
-  EXPECT_DOUBLE_EQ(m->value, 0);
-  EXPECT_DOUBLE_EQ(m->numerator, 5);
-  EXPECT_DOUBLE_EQ(m->denominator, 0);
-}
-
-TEST(MetricsRegistry, AddCounterAccumulates) {
-  MetricsRegistry reg;
-  reg.AddCounter("c", 2, "1");
-  reg.AddCounter("c", 3, "1");
-  EXPECT_EQ(reg.Find("c")->count, 5u);
 }
 
 TEST(MetricsRegistry, EmitsSortedByName) {

@@ -35,7 +35,7 @@ TEST(PlanPartitionBits, SmallDomainsIgnoreLsb) {
 TEST(PlanPartitionBits, ZeroKeyDomainPlansTrivialSingleBucket) {
   // A single key 0 has a zero-width domain: nothing to partition on, but
   // the plan must still be runnable (one effective bucket) rather than an
-  // InvalidArgument that would fail such columns under FailStop().
+  // InvalidArgument that would fail such columns under fail_stop.
   mem::AddressSpace space;
   workload::MaterializedKeyColumn col(&space, std::vector<Key>{0});
   RadixPartitionSpec spec = PlanPartitionBits(col).value();

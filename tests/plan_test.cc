@@ -1,5 +1,5 @@
 // Tests for the adaptive query-routing planner (src/plan): plan-space
-// enumeration order, dominance pruning and name round-trips; the
+// enumeration order, dominance pruning and distinct plan names; the
 // analytic predictor's regime ordering and the residual model's
 // adopt/blend/pool/clamp behaviour; router argmin, exploration bounds
 // and determinism; and the routed backend — every candidate plan must
@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -142,25 +144,18 @@ TEST(PlanSpaceTest, WindowsAtLeastTheBatchCollapseOntoFull) {
   ASSERT_EQ(plans.size(), 12u);
 }
 
-TEST(PlanSpaceTest, EveryNameRoundTripsThroughParse) {
+// The residual model keys its cells on PlanChoice::Name(), so two
+// different candidates must never share a name.
+TEST(PlanSpaceTest, EveryEnumeratedNameIsDistinct) {
   PlanSpaceConfig config;
   config.prune = false;
-  for (const PlanChoice& p : plan::EnumeratePlans(config, {})) {
-    auto parsed = plan::ParsePlanChoice(p.Name());
-    ASSERT_TRUE(parsed.ok()) << p.Name();
-    EXPECT_TRUE(*parsed == p) << p.Name();
-    EXPECT_EQ(parsed->Name(), p.Name());
+  const std::vector<PlanChoice> plans = plan::EnumeratePlans(config, {});
+  std::set<std::string> names;
+  for (const PlanChoice& p : plans) {
+    EXPECT_TRUE(names.insert(p.Name()).second) << p.Name();
   }
-}
-
-TEST(PlanSpaceTest, ParseRejectsMalformedNames) {
-  EXPECT_FALSE(plan::ParsePlanChoice("").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("bogus").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("bogus/none").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("btree/sideways").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("btree/windowed").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("btree/windowed/abc").ok());
-  EXPECT_FALSE(plan::ParsePlanChoice("btree/windowed/0").ok());
+  // 4 indexes x {none, full, 3 windows} plus the hash join.
+  EXPECT_EQ(plans.size(), 21u);
 }
 
 TEST(PlanSpaceTest, PlannerModeRoundTripsAndRejectsUnknown) {
@@ -214,7 +209,7 @@ TEST(PredictorTest, PartitioningWinsPastTlbRangeOnly) {
 }
 
 TEST(ResidualModelTest, FirstObservationIsAdoptedOutright) {
-  plan::ResidualModel model(0.25);
+  plan::ResidualModel model;
   const PlanChoice p = Inlj(index::IndexType::kBTree,
                             InljConfig::PartitionMode::kFull);
   EXPECT_FALSE(model.Observed(p, 3));
@@ -228,7 +223,7 @@ TEST(ResidualModelTest, FirstObservationIsAdoptedOutright) {
 }
 
 TEST(ResidualModelTest, UnvisitedPlanFallsBackToBucketPool) {
-  plan::ResidualModel model(0.25);
+  plan::ResidualModel model;
   const PlanChoice seen = Inlj(index::IndexType::kBTree,
                                InljConfig::PartitionMode::kFull);
   const PlanChoice fresh = Inlj(index::IndexType::kRadixSpline,
@@ -242,7 +237,7 @@ TEST(ResidualModelTest, UnvisitedPlanFallsBackToBucketPool) {
 }
 
 TEST(ResidualModelTest, RatiosAreClampedAndBadSamplesIgnored) {
-  plan::ResidualModel model(0.25);
+  plan::ResidualModel model;
   const PlanChoice p = Inlj(index::IndexType::kHarmonia,
                             InljConfig::PartitionMode::kNone);
   model.Observe(p, 0, 1.0, 1e9);
@@ -405,6 +400,32 @@ TEST(PlannedBackendTest, EveryCandidatePlanProducesTheSameMatches) {
     }
     EXPECT_TRUE(matches == reference)
         << p.Name() << " diverges from " << reference_plan;
+  }
+}
+
+// Bad exploration knobs are a named InvalidArgument from Create: a NaN
+// epsilon would silently turn exploration off, and a NaN ceiling would
+// silently lift the regret bound.
+TEST(PlannedBackendTest, CreateRejectsBadExplorationKnobsByName) {
+  const struct {
+    void (*set)(plan::PlannerConfig&);
+    const char* field;
+  } cases[] = {
+      {[](plan::PlannerConfig& p) { p.epsilon = std::nan(""); }, "epsilon"},
+      {[](plan::PlannerConfig& p) { p.epsilon = 1.5; }, "epsilon"},
+      {[](plan::PlannerConfig& p) { p.explore_ceiling = std::nan(""); },
+       "explore_ceiling"},
+      {[](plan::PlannerConfig& p) { p.explore_ceiling = 0.5; },
+       "explore_ceiling"},
+  };
+  for (const auto& c : cases) {
+    auto config = SmallBackendConfig(uint64_t{1} << 14, 8192);
+    c.set(config.planner);
+    auto backend = plan::PlannedBackend::Create(config);
+    ASSERT_FALSE(backend.ok()) << c.field;
+    EXPECT_EQ(backend.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(backend.status().ToString().find(c.field), std::string::npos)
+        << backend.status().ToString();
   }
 }
 

@@ -515,27 +515,6 @@ TEST(ResultCache, LruEvictsTheColdestEntryDeterministically) {
   EXPECT_EQ(cache->stats().skipped_too_large, 1u);
 }
 
-TEST(ResultCache, ClockGivesReferencedEntriesASecondChance) {
-  mem::AddressSpace space;
-  sim::Gpu gpu(&space, sim::V100NvLink2());
-  ResultCacheConfig cc;
-  cc.reserved_bytes = 3 * 64;
-  cc.entry_overhead_bytes = 64;
-  cc.eviction = ResultCacheConfig::Eviction::kClock;
-  auto cache = ResultCache::Create(cc, gpu).value();
-
-  double charge = 0;
-  for (uint64_t k = 0; k < 3; ++k) cache->Insert(k, {}, &charge);
-  // Reference key 0; the hand must pass it over and evict key 1.
-  EXPECT_TRUE(cache->Lookup(0, nullptr, &charge));
-  cache->Insert(3, {}, &charge);
-  EXPECT_TRUE(cache->Lookup(0, nullptr, &charge));
-  EXPECT_FALSE(cache->Lookup(1, nullptr, &charge));
-  EXPECT_TRUE(cache->Lookup(2, nullptr, &charge));
-  EXPECT_TRUE(cache->Lookup(3, nullptr, &charge));
-  EXPECT_EQ(cache->stats().evictions, 1u);
-}
-
 TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
   FakeBackend backend(1 << 20, 1e-7);
 
