@@ -9,7 +9,6 @@
 #include "bench/bench_common.h"
 #include "dist/metrics.h"
 #include "dist/shard_scheduler.h"
-#include "plan/plan_space.h"
 
 namespace gpujoin::bench {
 namespace {
@@ -23,8 +22,8 @@ struct Point {
 // per-link sections) when the sink is active.
 dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
                                 uint64_t order_key, const Point& p,
-                                double zipf, bool steal, uint64_t dev_sample,
-                                plan::PlannerMode planner) {
+                                double zipf, bool steal,
+                                uint64_t dev_sample) {
   core::ExperimentConfig cfg;
   cfg.r_tuples = uint64_t{1} << 27;  // 1 GiB of R keys per the paper axis
   cfg.s_tuples = uint64_t{1} << 26;
@@ -44,8 +43,6 @@ dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
   dcfg.topology = p.topology;
   dcfg.steal = steal;
   dcfg.threads = SweepThreads(flags);
-  dcfg.planner.mode = planner;
-  dcfg.planner.seed = cfg.seed * 1000 + order_key;
 
   auto engine = dist::ShardScheduler::Create(cfg, dcfg).value();
   if (sink.active()) engine->EnableObservability();
@@ -56,7 +53,6 @@ dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
     rec.AddParam("topology", dist::TopologyKindName(p.topology));
     rec.AddParam("num_shards", p.shards);
     rec.AddParam("steal", steal);
-    rec.AddParam("planner", plan::PlannerModeName(planner));
     rec.AddParam("steal_events", result.steal_events);
     rec.AddParam("merge_seconds", result.merge_seconds);
     rec.SetRun(result.run);
@@ -69,22 +65,7 @@ dist::ShardedRunResult RunPoint(const Flags& flags, MetricsSink& sink,
 
 int Main(int argc, char** argv) {
   Flags flags;
-  flags.DefineString("planner", "static",
-                     "static (configured windowed plan on every chunk) | "
-                     "adaptive (per-chunk {mode, window} routing)");
   if (!ParseBenchFlags(flags, argc, argv)) return 0;
-  const std::string planner_name = flags.GetString("planner");
-  auto planner_mode = plan::ParsePlannerMode(planner_name);
-  if (!planner_mode.ok()) {
-    std::fprintf(stderr, "%s\n", planner_mode.status().ToString().c_str());
-    return 1;
-  }
-  if (*planner_mode == plan::PlannerMode::kOracle) {
-    std::fprintf(stderr,
-                 "--planner oracle is single-device only; use the "
-                 "fig11_adaptive bench instead\n");
-    return 1;
-  }
   MetricsSink sink(flags);
   // --s_sample is the total simulated budget at 8 devices; each device
   // gets an equal share regardless of the row's device count.
@@ -102,12 +83,12 @@ int Main(int argc, char** argv) {
     double base_qps = 0;
     for (int shards : {1, 2, 4, 8}) {
       const Point p{topo, shards};
-      const auto uniform = RunPoint(flags, sink, order++, p, 0.0, true,
-                                    dev_sample, *planner_mode);
-      const auto skew_steal = RunPoint(flags, sink, order++, p, 1.75, true,
-                                       dev_sample, *planner_mode);
-      const auto skew_nosteal = RunPoint(flags, sink, order++, p, 1.75, false,
-                                         dev_sample, *planner_mode);
+      const auto uniform =
+          RunPoint(flags, sink, order++, p, 0.0, true, dev_sample);
+      const auto skew_steal =
+          RunPoint(flags, sink, order++, p, 1.75, true, dev_sample);
+      const auto skew_nosteal =
+          RunPoint(flags, sink, order++, p, 1.75, false, dev_sample);
       const double u = uniform.run.qps();
       const double zs = skew_steal.run.qps();
       const double zn = skew_nosteal.run.qps();

@@ -95,18 +95,15 @@ python3 scripts/validate_metrics.py "$SERVE_TMP"
 smoke_across_threads dist build-release/bench/fig10_scaleout \
   --s_sample $((1 << 16))
 
-# Planner smoke: the serving layer must run under every routing mode, the
-# sharded engine under adaptive routing, and the adaptive-routing bench
-# end to end — each emitting schema-valid planner sections.
+# Planner smoke: the serving layer must run under every routing mode, and
+# the adaptive-routing bench end to end — each emitting schema-valid
+# planner sections.
 PLAN_TMP="$SMOKE_DIR/plan.metrics.json"
 for mode in static adaptive oracle; do
   build-release/bench/serve_latency --requests 500 --planner "$mode" \
     --json "$PLAN_TMP" > /dev/null
   python3 scripts/validate_metrics.py "$PLAN_TMP"
 done
-build-release/bench/fig10_scaleout --s_sample $((1 << 16)) \
-  --planner adaptive --json "$PLAN_TMP" > /dev/null
-python3 scripts/validate_metrics.py "$PLAN_TMP"
 build-release/bench/fig11_adaptive --batches_per_phase 2 \
   --batch_tuples $((1 << 13)) --json "$PLAN_TMP" > /dev/null
 python3 scripts/validate_metrics.py "$PLAN_TMP"

@@ -75,8 +75,7 @@ struct ClusterConfig {
   int gpus_per_node = 1;
   NetworkKind network = NetworkKind::kInfiniBand;
   // The GPU fabric inside each node. Each node engine otherwise runs
-  // dist's defaults: intra-node work stealing on and the static
-  // (pre-planner) windowed pipeline.
+  // dist's defaults: intra-node work stealing on.
   dist::TopologyKind node_topology = dist::TopologyKind::kNvLink2;
   NodeFailoverPolicy failover;
   std::vector<MembershipEvent> membership;

@@ -25,17 +25,23 @@ const char* PartitionModeName(InljConfig::PartitionMode mode) {
   return "unknown";
 }
 
+Status CheckWindowTuples(uint64_t window_tuples) {
+  if (window_tuples < sim::Warp::kWidth) {
+    return Status::InvalidArgument(
+        "window_tuples = " + std::to_string(window_tuples) +
+        " is below one warp (" + std::to_string(sim::Warp::kWidth) +
+        " tuples)");
+  }
+  return Status::Ok();
+}
+
 Result<sim::RunResult> IndexNestedLoopJoin::Run(
     sim::Gpu& gpu, const index::Index& index,
     const workload::ProbeRelation& s, const InljConfig& config,
     std::vector<JoinMatch>* collect) {
   if (config.mode == InljConfig::PartitionMode::kWindowed) {
-    if (config.window_tuples < sim::Warp::kWidth) {
-      return Status::InvalidArgument(
-          "window_tuples = " + std::to_string(config.window_tuples) +
-          " is below one warp (" + std::to_string(sim::Warp::kWidth) +
-          " tuples)");
-    }
+    Status st = CheckWindowTuples(config.window_tuples);
+    if (!st.ok()) return st;
   }
 
   const double scale = s.scale();

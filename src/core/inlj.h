@@ -78,6 +78,10 @@ struct InljConfig {
 
 const char* PartitionModeName(InljConfig::PartitionMode mode);
 
+// InvalidArgument unless `window_tuples` fills at least one warp (32
+// tuples), the smallest window the windowed mode runs.
+Status CheckWindowTuples(uint64_t window_tuples);
+
 // Runs the INLJ end to end (probe-stream transfer, optional partitioning,
 // index lookups, result materialization into GPU memory) and extrapolates
 // the sampled probe set to |S|.

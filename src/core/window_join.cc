@@ -1,5 +1,7 @@
 #include "core/window_join.h"
 
+#include <algorithm>
+
 #include "core/join_kernel.h"
 #include "sim/phase.h"
 
@@ -96,9 +98,7 @@ Result<WindowJoiner> WindowJoiner::Create(sim::Gpu& gpu,
   return WindowJoiner(gpu, index, s, config, *spec, *result);
 }
 
-Result<WindowRun> WindowJoiner::RunWindow(uint64_t begin, uint64_t count,
-                                          uint64_t ordinal,
-                                          std::vector<JoinMatch>* collect) {
+Status WindowJoiner::EnterWindow(uint64_t begin, uint64_t count) {
   if (count == 0) {
     return Status::InvalidArgument("cannot run an empty window");
   }
@@ -112,6 +112,14 @@ Result<WindowRun> WindowJoiner::RunWindow(uint64_t begin, uint64_t count,
   // serviced windows must not inherit each other's state.
   if (!first_window_) gpu_->memory().FlushCaches();
   first_window_ = false;
+  return Status::Ok();
+}
+
+Result<WindowRun> WindowJoiner::RunWindow(uint64_t begin, uint64_t count,
+                                          uint64_t ordinal,
+                                          std::vector<JoinMatch>* collect) {
+  Status begun = EnterWindow(begin, count);
+  if (!begun.ok()) return begun;
 
   WindowRun run;
   sim::WindowScope window(gpu_->memory().phase_sink(), ordinal);
@@ -124,6 +132,51 @@ Result<WindowRun> WindowJoiner::RunWindow(uint64_t begin, uint64_t count,
                           gpu_->platform().gpu.stream_sync_overhead;
   run.join_seconds = gpu_->cost_model().Seconds(run.join.counters);
   return run;
+}
+
+Result<SliceRun> WindowJoiner::RunSlice(InljConfig::PartitionMode mode,
+                                        uint64_t window_tuples,
+                                        uint64_t begin, uint64_t count,
+                                        uint64_t ordinal,
+                                        std::vector<JoinMatch>* collect) {
+  SliceRun out;
+  if (mode == InljConfig::PartitionMode::kNone) {
+    Status begun = EnterWindow(begin, count);
+    if (!begun.ok()) return begun;
+    sim::WindowScope window(gpu_->memory().phase_sink(), ordinal);
+    sim::KernelRun join = internal::RunJoinKernel(
+        *gpu_, *index_, s_->keys.data().data() + begin, nullptr, count,
+        s_->keys.addr_of(begin), result_.region.base,
+        config_.probe_filter_selectivity, &out.matches,
+        /*row_id_base=*/begin, collect);
+    Status st = gpu_->memory().fault_status();
+    if (!st.ok()) return st;
+    out.seconds = gpu_->TimeOf(join);
+    out.counters = join.counters;
+    return out;
+  }
+
+  // kFull is one window over the whole slice. The loop runs at least
+  // once, so RunWindow rejects an empty slice.
+  uint64_t w = count;
+  if (mode == InljConfig::PartitionMode::kWindowed) {
+    Status st = CheckWindowTuples(window_tuples);
+    if (!st.ok()) return st;
+    w = window_tuples;
+  }
+  uint64_t off = 0;
+  do {
+    Result<WindowRun> run = RunWindow(
+        begin + off, std::min(w, count - off), ordinal, collect);
+    if (!run.ok()) return run.status();
+    out.seconds += run->seconds();
+    out.counters += run->partition.counters;
+    out.counters += run->join.counters;
+    out.matches += run->matches;
+    ++out.windows;
+    off += w;
+  } while (off < count);
+  return out;
 }
 
 }  // namespace gpujoin::core

@@ -49,6 +49,20 @@ struct WindowRun {
   double seconds() const { return partition_seconds + join_seconds; }
 };
 
+// The outcome of running one slice under a partition mode
+// (WindowJoiner::RunSlice).
+struct SliceRun {
+  // Cost-model seconds: the join kernel's for kNone, else the sum of the
+  // partitioned windows' WindowRun::seconds().
+  double seconds = 0;
+  // The slice's kernel counters, summed over its windows.
+  sim::CounterSet counters;
+  uint64_t matches = 0;
+  // Partitioned windows executed: 0 for kNone, 1 for kFull, the
+  // sub-window count for kWindowed.
+  uint64_t windows = 0;
+};
+
 namespace internal {
 
 // The result buffer shared by a run's windows: GPU memory by default
@@ -91,9 +105,10 @@ Status RunChunk(sim::Gpu& gpu, const index::Index& index,
 // partitioning.
 //
 // Hardware-state policy matches the batch loop: caches are flushed before
-// every window except the first (a real window's churn evicts its
-// predecessor's lines), and each window is bracketed in a WindowScope for
-// the phase timeline.
+// every window except the joiner's first, partitioned or not (a real
+// window's churn evicts its predecessor's lines), and each window is
+// bracketed in a WindowScope for the phase timeline. This is the one place
+// that flushes at a window boundary.
 class WindowJoiner {
  public:
   // Plans the partition bits for `index` and reserves the result buffer
@@ -113,6 +128,16 @@ class WindowJoiner {
                               uint64_t ordinal,
                               std::vector<JoinMatch>* collect = nullptr);
 
+  // Runs s[begin, begin+count) under `mode`: kNone as one unpartitioned
+  // window, kFull as one RunWindow, kWindowed as consecutive RunWindow
+  // calls of `window_tuples` (>= one warp; the last is cut at what is
+  // left). Every window runs under `ordinal`, so a slice's phase spans
+  // aggregate.
+  Result<SliceRun> RunSlice(InljConfig::PartitionMode mode,
+                            uint64_t window_tuples, uint64_t begin,
+                            uint64_t count, uint64_t ordinal,
+                            std::vector<JoinMatch>* collect = nullptr);
+
   bool result_on_host() const { return result_.on_host; }
   mem::VirtAddr result_base() const { return result_.region.base; }
   const partition::RadixPartitioner& partitioner() const {
@@ -130,6 +155,9 @@ class WindowJoiner {
         config_(config),
         partitioner_(spec),
         result_(result) {}
+
+  // Validates a slice and applies the boundary rule before its window.
+  Status EnterWindow(uint64_t begin, uint64_t count);
 
   sim::Gpu* gpu_;
   const index::Index* index_;

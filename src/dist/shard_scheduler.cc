@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "core/index_factory.h"
-#include "core/join_kernel.h"
-#include "sim/phase.h"
 
 namespace gpujoin::dist {
 
@@ -37,13 +35,6 @@ Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
         "the sharded engine runs the windowed INLJ; set "
         "inlj.mode = kWindowed");
   }
-  if (dcfg.planner.mode == plan::PlannerMode::kOracle) {
-    return Status::InvalidArgument(
-        "the sharded engine supports planner = static | adaptive; use "
-        "the single-device plan::PlannedBackend for oracle runs");
-  }
-  Status pst = dcfg.planner.Validate();
-  if (!pst.ok()) return pst;
   if (IsNetwork(dcfg.topology)) {
     return Status::InvalidArgument(
         std::string("topology must be an in-node fabric (nvlink2 | pcie4 | "
@@ -161,8 +152,6 @@ Status ShardScheduler::Build() {
     shards_.push_back(std::move(shard));
   }
 
-  SeedPlanner();
-
   if (dcfg_.failover.enabled()) {
     fault_timeline_ = std::make_unique<sim::DeviceFaultTimeline>(
         dcfg_.failover.device_faults, dcfg_.num_shards);
@@ -216,21 +205,7 @@ Status ShardScheduler::ResetShardsForRun() {
     reexec_chunks_ = 0;
     robustness_ = obs::RobustnessStats{};
   }
-  // Repeated RunJoin calls must route identically: the planner and the
-  // extractors restart from their seeds.
-  SeedPlanner();
   return Status::Ok();
-}
-
-void ShardScheduler::SeedPlanner() {
-  if (dcfg_.planner.mode != plan::PlannerMode::kAdaptive) return;
-  planner_ = std::make_unique<plan::Planner>(dcfg_.planner);
-  extractors_.clear();
-  for (int i = 0; i < dcfg_.num_shards; ++i) {
-    extractors_.emplace_back(
-        plan_.shard_r_tuples(i) * 8, cfg_.platform.gpu.tlb_coverage,
-        dcfg_.planner.seed + static_cast<uint64_t>(i) * 0x9e3779b9ULL);
-  }
 }
 
 void ShardScheduler::EnableObservability() {
@@ -397,88 +372,6 @@ std::vector<std::vector<ShardScheduler::Chunk>> ShardScheduler::PlanChunks(
   return chunks;
 }
 
-void ShardScheduler::RoutePlans(std::vector<std::vector<Chunk>>* chunks) {
-  if (planner_ == nullptr) return;
-  // The candidate space per chunk: {kNone, kFull, windowed ladder} over
-  // the owner's fixed index. No hash join — shards own index slices, not
-  // hash tables.
-  plan::PlanSpaceConfig space;
-  space.indexes = {cfg_.index_type};
-  space.include_hash_join = false;
-  for (auto& shard_chunks : *chunks) {
-    for (Chunk& chunk : shard_chunks) {
-      // Never route failed-over work: the planner must not steer a dead
-      // shard's engine, and recovery-penalty-charged chunks would feed
-      // corrupted residuals back into the router.
-      if (chunk.failover) continue;
-      Shard& owner = *shards_[chunk.owner];
-      chunk.features = extractors_[chunk.owner].Extract(
-          owner.s.keys.data().data() + chunk.start, chunk.count);
-      plan::PruneContext prune;
-      prune.r_bytes = plan_.shard_r_tuples(chunk.owner) * 8;
-      prune.tlb_coverage = cfg_.platform.gpu.tlb_coverage;
-      prune.batch_tuples = chunk.count;
-      const std::vector<plan::PlanChoice> candidates =
-          plan::EnumeratePlans(space, prune);
-      if (candidates.empty()) continue;  // prune left nothing: stay static
-      const plan::RoutingDecision decision = planner_->Decide(
-          PlanContextFor(chunk.owner), candidates, chunk.features);
-      chunk.choice = decision.chosen;
-      chunk.routed = true;
-    }
-  }
-}
-
-Result<core::WindowRun> ShardScheduler::RunChunkOnShard(
-    Shard& shard, const Chunk& chunk, uint64_t ordinal,
-    std::vector<core::JoinMatch>* collect) {
-  if (!chunk.routed ||
-      chunk.choice.mode == core::InljConfig::PartitionMode::kFull) {
-    // The static pipeline's path: one fully partitioned window.
-    return shard.joiner->RunWindow(chunk.start, chunk.count, ordinal,
-                                   collect);
-  }
-
-  if (chunk.choice.mode == core::InljConfig::PartitionMode::kNone) {
-    // Unpartitioned probe straight off the shard's probe buffer into the
-    // joiner's result region. Same isolation policy as RunWindow: the
-    // previous window's cache state must not leak in.
-    shard.gpu->memory().FlushCaches();
-    core::WindowRun run;
-    {
-      sim::WindowScope window(shard.gpu->memory().phase_sink(), ordinal);
-      run.join = core::internal::RunJoinKernel(
-          *shard.gpu, *shard.index, shard.s.keys.data().data() + chunk.start,
-          nullptr, chunk.count, shard.s.keys.addr_of(chunk.start),
-          shard.joiner->result_base(), cfg_.inlj.probe_filter_selectivity,
-          &run.matches, /*row_id_base=*/chunk.start, collect);
-    }
-    Status st = shard.gpu->memory().fault_status();
-    if (!st.ok()) return st;
-    run.join_seconds = shard.gpu->cost_model().Seconds(run.join.counters);
-    return run;
-  }
-
-  // kWindowed: serialize sub-windows of the routed size through the
-  // shard's joiner and merge them into one WindowRun.
-  const uint64_t w =
-      std::clamp<uint64_t>(chunk.choice.window_tuples, 32, chunk.count);
-  core::WindowRun total;
-  for (uint64_t off = 0; off < chunk.count; off += w) {
-    const uint64_t n = std::min(w, chunk.count - off);
-    Result<core::WindowRun> run =
-        shard.joiner->RunWindow(chunk.start + off, n, ordinal, collect);
-    if (!run.ok()) return run.status();
-    total.partition.Merge(run->partition);
-    total.join.Merge(run->join);
-    total.partition_seconds += run->partition_seconds;
-    total.join_seconds += run->join_seconds;
-    total.matches += run->matches;
-    total.stats += run->stats;
-  }
-  return total;
-}
-
 Result<double> ShardScheduler::ExecuteWindow(
     const std::vector<std::vector<Chunk>>& chunks, uint64_t ordinal,
     std::vector<std::vector<core::JoinMatch>>* collect_shards,
@@ -497,8 +390,8 @@ Result<double> ShardScheduler::ExecuteWindow(
                    collect_shards] {
       Shard& shard = *shards_[i];
       for (const Chunk& chunk : chunks[i]) {
-        Result<core::WindowRun> run = RunChunkOnShard(
-            shard, chunk, ordinal,
+        Result<core::WindowRun> run = shard.joiner->RunWindow(
+            chunk.start, chunk.count, ordinal,
             collect_shards != nullptr ? &(*collect_shards)[i] : nullptr);
         if (!run.ok()) {
           statuses[i] = run.status();
@@ -532,11 +425,6 @@ Result<double> ShardScheduler::ExecuteWindow(
     Shard& shard = *shards_[v];
     shard.chunks_run += results[v].size();
     for (const ChunkResult& cr : results[v]) {
-      if (planner_ != nullptr && cr.chunk.routed) {
-        planner_->Observe(PlanContextFor(v), cr.chunk.choice,
-                          cr.chunk.features, cr.seconds);
-        extractors_[v].ObserveMatches(cr.chunk.count, cr.matches);
-      }
       window_counters[v] += cr.part.counters;
       window_counters[v] += cr.join.counters;
       shard.part_sum += cr.part.counters;
@@ -887,7 +775,6 @@ Result<ShardScheduler::WindowOutcome> ShardScheduler::RunRoutedWindow(
   }
   std::vector<std::vector<Chunk>> chunks =
       PlanChunks(RouteRows(rows, from_front), &out.steal_events);
-  RoutePlans(&chunks);
 
   const int n = num_shards();
   std::vector<std::vector<core::JoinMatch>> shard_collect;

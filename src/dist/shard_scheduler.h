@@ -14,9 +14,6 @@
 #include "dist/topology.h"
 #include "obs/phase_timeline.h"
 #include "obs/robustness.h"
-#include "plan/features.h"
-#include "plan/plan_space.h"
-#include "plan/router.h"
 #include "serve/server.h"
 #include "sim/fault.h"
 #include "sim/gpu.h"
@@ -75,14 +72,6 @@ struct ShardConfig {
   FailoverPolicy failover;
   // Simulation worker threads; 0 = min(num_shards, hardware).
   int threads = 0;
-  // Per-chunk {partition mode, window} routing over each shard's fixed
-  // index (src/plan). kStatic keeps the pre-planner windowed pipeline
-  // untouched (bit-identical); kAdaptive routes every device chunk
-  // through a shared plan::Planner, with decisions and feedback on the
-  // coordinator thread. kOracle is rejected here — replaying every
-  // candidate would re-run chunks on shared shard state; use the
-  // single-device plan::PlannedBackend for oracle measurements.
-  plan::PlannerConfig planner{.mode = plan::PlannerMode::kStatic};
   // Cluster hook: restricts this engine to rows [r_begin, r_end) of the
   // base R column (0, 0 = the full R; anything else must satisfy
   // r_begin < r_end <= r_tuples). The shard planner then splits only
@@ -287,14 +276,8 @@ class ShardScheduler final : public serve::WindowBackend {
     uint64_t count = 0;
     // Failed-over work: `owner` is dead and `thief` is its failover
     // target. Charged at the recovery penalty, not the steal penalty,
-    // and excluded from steal accounting and planner feedback.
+    // and excluded from steal accounting.
     bool failover = false;
-    // Filled by RoutePlans when the adaptive planner is on: how the
-    // owner's device executes this chunk, and the features the decision
-    // saw (echoed back with the observed time after the window barrier).
-    bool routed = false;
-    plan::PlanChoice choice{};
-    plan::BatchFeatures features{};
   };
 
   struct ChunkResult {
@@ -319,9 +302,6 @@ class ShardScheduler final : public serve::WindowBackend {
   Status Build();
   Status ResetShardsForRun();
   Status CreateJoiners();
-  // Adaptive mode only: (re)builds the shared planner and the per-shard
-  // feature extractors from their seeds, so every run routes alike.
-  void SeedPlanner();
 
   // The steal planner's per-tuple rate estimator, seeded with the
   // uniform lower bound from the per-window sync overhead: before any
@@ -377,26 +357,6 @@ class ShardScheduler final : public serve::WindowBackend {
   // per-victim chunk lists in execution order.
   std::vector<std::vector<Chunk>> PlanChunks(
       const std::vector<SliceRef>& slices, uint64_t* steal_events);
-
-  // Adaptive mode only: routes every planned chunk through the shared
-  // planner on the calling thread (shard order, then chunk order — the
-  // RNG stream is deterministic for any thread count). No-op when the
-  // planner is off.
-  void RoutePlans(std::vector<std::vector<Chunk>>* chunks);
-
-  // The analytic context the planner prices shard `i`'s chunks with.
-  plan::PlanContext PlanContextFor(int i) const {
-    plan::PlanContext ctx;
-    ctx.platform = cfg_.platform;
-    ctx.r_tuples = plan_.shard_r_tuples(i);
-    return ctx;
-  }
-
-  // Executes one chunk on its owner's device under chunk.choice
-  // (kFull == the static pipeline's single RunWindow call).
-  Result<core::WindowRun> RunChunkOnShard(
-      Shard& shard, const Chunk& chunk, uint64_t ordinal,
-      std::vector<core::JoinMatch>* collect);
 
   // Runs the planned chunks concurrently (one task per shard that owns
   // work) and folds charged per-shard times, contention and link bytes.
@@ -475,14 +435,6 @@ class ShardScheduler final : public serve::WindowBackend {
   std::vector<int> failover_record_;  // per-shard: index into robustness_
   uint64_t reexec_chunks_ = 0;        // against the re-execution budget
   obs::RobustnessStats robustness_;
-
-  // Adaptive routing state (null / empty in kStatic mode). One planner
-  // is shared across shards — plan names don't encode the shard, but the
-  // feature bucket's R/TLB coordinate separates shards of different R
-  // slices. Extractors are per shard (each owns its reservoir RNG and
-  // selectivity estimate).
-  std::unique_ptr<plan::Planner> planner_;
-  std::vector<plan::FeatureExtractor> extractors_;
 
   // Persistent simulation workers (the serving path dispatches thousands
   // of slices; per-slice pools would dominate the wall clock).

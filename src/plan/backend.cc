@@ -49,12 +49,12 @@ Result<std::unique_ptr<PlannedBackend>> PlannedBackend::Create(
     engine.experiment->EnablePhaseTimeline();
     engine.experiment->ResetForRun();
 
-    Result<BatchExecutor> executor = BatchExecutor::Create(
+    Result<core::WindowJoiner> joiner = core::WindowJoiner::Create(
         engine.experiment->gpu(), engine.experiment->index(),
         engine.experiment->s(), ec.inlj,
         engine.experiment->s().sample_size());
-    if (!executor.ok()) return executor.status();
-    engine.executor.emplace(std::move(*executor));
+    if (!joiner.ok()) return joiner.status();
+    engine.joiner.emplace(std::move(*joiner));
   }
 
   backend->sample_size_ =
@@ -110,14 +110,22 @@ PlannedBackend::EngineObservation PlannedBackend::ObserveEngine(
   return observed;
 }
 
-Result<BatchResult> PlannedBackend::ExecutePlan(
+Result<core::SliceRun> PlannedBackend::Engine::Run(
+    const PlanChoice& plan, uint64_t begin, uint64_t count, uint64_t ordinal,
+    std::vector<core::JoinMatch>* collect) {
+  experiment->phase_timeline()->Reset();
+  return joiner->RunSlice(plan.mode, plan.window_tuples, begin, count,
+                          ordinal, collect);
+}
+
+Result<core::SliceRun> PlannedBackend::ExecutePlan(
     const PlanChoice& plan, uint64_t begin, uint64_t count, uint64_t ordinal,
     std::vector<core::JoinMatch>* collect) {
   if (plan.kind == PlanChoice::Kind::kHashJoin) {
     BatchFeatures f;
     f.batch_tuples = count;
     f.selectivity = 1.0;
-    BatchResult out;
+    core::SliceRun out;
     out.seconds = PredictSeconds(ctx_, plan, f);
     out.matches = HashJoinMatches(begin, count, collect);
     return out;
@@ -127,8 +135,7 @@ Result<BatchResult> PlannedBackend::ExecutePlan(
     return Status::InvalidArgument("no engine for plan " + plan.Name() +
                                    " (index not in the plan space)");
   }
-  it->second.experiment->phase_timeline()->Reset();
-  return it->second.executor->Execute(plan, begin, count, ordinal, collect);
+  return it->second.Run(plan, begin, count, ordinal, collect);
 }
 
 Result<BatchOutcome> PlannedBackend::RouteSlice(
@@ -169,7 +176,7 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
     // number.
     struct Slot {
       Status status;
-      BatchResult result;
+      core::SliceRun result;
       EngineObservation observed;
     };
     std::vector<Slot> slots(candidates.size());
@@ -195,9 +202,8 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
       pool.Submit([this, &engine, &slots, &candidates, indices, begin, count,
                    ordinal]() {
         for (size_t i : indices) {
-          engine.experiment->phase_timeline()->Reset();
-          Result<BatchResult> r = engine.executor->Execute(
-              candidates[i], begin, count, ordinal, nullptr);
+          Result<core::SliceRun> r =
+              engine.Run(candidates[i], begin, count, ordinal, nullptr);
           if (!r.ok()) {
             slots[i].status = r.status();
             return;
@@ -242,14 +248,8 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
           static_cast<double>(HashJoinHostBytes(count, ctx_.r_tuples));
       planner_->Observe(ctx_, out.chosen, out.features, out.charged_seconds);
     } else {
-      auto it = engines_.find(out.chosen.index_type);
-      if (it == engines_.end()) {
-        return Status::InvalidArgument("no engine for routed plan " +
-                                       out.chosen.Name());
-      }
-      it->second.experiment->phase_timeline()->Reset();
-      Result<BatchResult> r = it->second.executor->Execute(
-          out.chosen, begin, count, ordinal, collect);
+      Result<core::SliceRun> r =
+          ExecutePlan(out.chosen, begin, count, ordinal, collect);
       if (!r.ok()) return r.status();
       out.charged_seconds = r->seconds;
       out.matches = r->matches;
@@ -294,7 +294,7 @@ Result<double> PlannedBackend::ServiceHedge(uint64_t begin, uint64_t count,
   replica.kind = PlanChoice::Kind::kInlj;
   replica.index_type = config_.base.index_type;
   replica.mode = core::InljConfig::PartitionMode::kFull;
-  Result<BatchResult> run = ExecutePlan(replica, begin, count, ordinal);
+  Result<core::SliceRun> run = ExecutePlan(replica, begin, count, ordinal);
   if (!run.ok()) return run.status();
   return run->seconds;
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "plan/executor.h"
+#include "core/window_join.h"
 #include "plan/features.h"
 #include "plan/plan_space.h"
 #include "plan/router.h"
@@ -93,10 +93,11 @@ class PlannedBackend : public serve::WindowBackend {
 
   // Executes one specific plan over a slice without routing or feedback
   // (differential tests compare candidates' match sets through this).
-  Result<BatchResult> ExecutePlan(const PlanChoice& plan, uint64_t begin,
-                                  uint64_t count, uint64_t ordinal,
-                                  std::vector<core::JoinMatch>* collect =
-                                      nullptr);
+  Result<core::SliceRun> ExecutePlan(const PlanChoice& plan,
+                                     uint64_t begin, uint64_t count,
+                                     uint64_t ordinal,
+                                     std::vector<core::JoinMatch>* collect =
+                                         nullptr);
 
   Planner& planner() { return *planner_; }
   const Planner& planner() const { return *planner_; }
@@ -106,9 +107,19 @@ class PlannedBackend : public serve::WindowBackend {
   uint64_t total_matches() const { return total_matches_; }
 
  private:
+  // One (gpu, index) engine. Its joiner runs every INLJ plan — one
+  // partition plan and result buffer shared by kNone, kFull and every
+  // windowed ladder entry — so switching plans between slices costs
+  // nothing extra, and the joiner's boundary rule flushes once per window
+  // whichever plan ran before.
   struct Engine {
     std::unique_ptr<core::Experiment> experiment;
-    std::optional<BatchExecutor> executor;
+    std::optional<core::WindowJoiner> joiner;
+
+    // Runs INLJ `plan` over a slice, on a fresh phase timeline.
+    Result<core::SliceRun> Run(const PlanChoice& plan, uint64_t begin,
+                               uint64_t count, uint64_t ordinal,
+                               std::vector<core::JoinMatch>* collect);
   };
 
   PlannedBackend() = default;
@@ -124,7 +135,7 @@ class PlannedBackend : public serve::WindowBackend {
   // seconds is the sum of the engine's phase spans (disjoint pipeline
   // stages) plus the per-window stream sync the cost model charges
   // outside kernels; host_bytes is the spans' interconnect traffic.
-  // (Residual feedback uses the charged BatchResult seconds — the span
+  // (Residual feedback uses the charged SliceRun seconds — the span
   // sum composes stages serially and over-counts overlapped work.)
   struct EngineObservation {
     double seconds = 0;

@@ -26,7 +26,7 @@ Result<PlannerMode> ParsePlannerMode(std::string_view name);
 
 // One executable plan for a probe batch: which index structure (or the
 // hash-join baseline) and which partitioning treatment. This is the unit
-// the router ranks and the executors run.
+// the router ranks and the engines run.
 struct PlanChoice {
   enum class Kind { kInlj, kHashJoin };
 

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <ios>
 #include <iterator>
 #include <memory>
@@ -18,8 +17,6 @@
 #include "dist/shard_planner.h"
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
-#include "plan/plan_space.h"
-#include "plan/router.h"
 #include "serve/server.h"
 #include "sim/counters.h"
 #include "workload/key_column.h"
@@ -195,33 +192,6 @@ TEST(ShardSchedulerTest, RejectsNonWindowedModes) {
   cfg.inlj.mode = core::InljConfig::PartitionMode::kFull;
   dist::ShardConfig dcfg;
   EXPECT_FALSE(dist::ShardScheduler::Create(cfg, dcfg).ok());
-}
-
-// Bad exploration knobs of the adaptive planner are a named
-// InvalidArgument from Create.
-TEST(ShardSchedulerTest, RejectsBadExplorationKnobsByName) {
-  const struct {
-    void (*set)(plan::PlannerConfig&);
-    const char* field;
-  } cases[] = {
-      {[](plan::PlannerConfig& p) { p.epsilon = std::nan(""); }, "epsilon"},
-      {[](plan::PlannerConfig& p) { p.epsilon = 1.5; }, "epsilon"},
-      {[](plan::PlannerConfig& p) { p.explore_ceiling = std::nan(""); },
-       "explore_ceiling"},
-      {[](plan::PlannerConfig& p) { p.explore_ceiling = 0.5; },
-       "explore_ceiling"},
-  };
-  for (const auto& c : cases) {
-    dist::ShardConfig dcfg;
-    dcfg.num_shards = 2;
-    dcfg.planner.mode = plan::PlannerMode::kAdaptive;
-    c.set(dcfg.planner);
-    auto engine = dist::ShardScheduler::Create(DistConfig(), dcfg);
-    ASSERT_FALSE(engine.ok()) << c.field;
-    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(engine.status().ToString().find(c.field), std::string::npos)
-        << engine.status().ToString();
-  }
 }
 
 // Network presets share the enum with the in-node fabrics; the sharded
@@ -494,91 +464,6 @@ TEST(ShardSchedulerTest, RunsAreRepeatableOnOneEngine) {
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->run.seconds, r2->run.seconds);
   EXPECT_TRUE(r1->run.counters == r2->run.counters);
-}
-
-// The adaptive planner routes every chunk through one shared Planner and
-// per-shard FeatureExtractors, all seeded. A second RunJoin on the same
-// engine must restart them from their seeds and so reproduce the first
-// run bit for bit; the first run is pinned, and its match set must equal
-// the static pipeline's. Each shard owns 32 GiB of R, between half and
-// twice the TLB range, so neither size rule prunes: the planner chooses
-// between unpartitioned and partitioned chunks. A 0.25 exploration rate
-// makes the run draw often enough that a planner, RNG or extractor kept
-// across runs would route the second run differently.
-TEST(ShardSchedulerTest, AdaptiveRunIsRepeatableAndPinned) {
-  core::ExperimentConfig cfg = DistConfig();
-  cfg.r_tuples = uint64_t{1} << 34;
-  cfg.zipf_exponent = 1.75;
-  cfg.inlj.window_tuples = uint64_t{1} << 14;
-  dist::ShardConfig dcfg;
-  dcfg.num_shards = 4;
-  dcfg.planner.mode = plan::PlannerMode::kAdaptive;
-  dcfg.planner.epsilon = 0.25;
-  auto engine = dist::ShardScheduler::Create(cfg, dcfg);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  std::vector<core::JoinMatch> m1;
-  std::vector<core::JoinMatch> m2;
-  const auto r1 = (*engine)->RunJoin(&m1);
-  const auto r2 = (*engine)->RunJoin(&m2);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  EXPECT_EQ(r1->run.seconds, r2->run.seconds)
-      << std::hexfloat << r1->run.seconds << " vs " << r2->run.seconds;
-  EXPECT_TRUE(r1->run.counters == r2->run.counters)
-      << r1->run.counters.ToString() << " vs "
-      << r2->run.counters.ToString();
-  EXPECT_EQ(r1->steal_events, r2->steal_events);
-  std::sort(m1.begin(), m1.end());
-  std::sort(m2.begin(), m2.end());
-  EXPECT_TRUE(m1 == m2);
-
-  EXPECT_EQ(r1->run.seconds, 0x1.4ebde93d71299p-6)
-      << std::hexfloat << r1->run.seconds;
-  EXPECT_EQ(r1->sim_makespan, 0x1.f0fa357da0d52p-14)
-      << std::hexfloat << r1->sim_makespan;
-  EXPECT_EQ(r1->merge_seconds, 0x1.590339fa82fbfp-8)
-      << std::hexfloat << r1->merge_seconds;
-  EXPECT_EQ(r1->steal_events, 4u);
-  const sim::CounterSet counters = {
-      .host_random_read_bytes = 104054784u,
-      .host_seq_read_bytes = 160350208u,
-      .translation_requests = 375808u,
-      .tlb_hits = 777472u,
-      .hbm_read_bytes = 193519616u,
-      .hbm_write_bytes = 417566720u,
-      .l1_hits = 20808448u,
-      .l2_misses = 813056u,
-      .warp_steps = 6105600u,
-      .memory_transactions = 25715712u,
-      .kernel_launches = 3584u};
-  EXPECT_TRUE(r1->run.counters == counters) << r1->run.counters.ToString();
-  struct PinnedShard {
-    uint64_t tuples_routed;
-    double busy_seconds;
-  };
-  const PinnedShard shards[] = {
-      {20705u, 0x1.9e07e879a8b89p-14},
-      {80926u, 0x1.f0fa357da0d52p-14},
-      {1899u, 0x1.5c7eb12de210ap-14},
-      {27542u, 0x1.0f6bf7d780792p-14},
-  };
-  ASSERT_EQ(r1->shards.size(), std::size(shards));
-  for (size_t i = 0; i < std::size(shards); ++i) {
-    SCOPED_TRACE("shard " + std::to_string(i));
-    EXPECT_EQ(r1->shards[i].tuples_routed, shards[i].tuples_routed);
-    EXPECT_EQ(r1->shards[i].windows, 2u);
-    EXPECT_EQ(r1->shards[i].busy_seconds, shards[i].busy_seconds)
-        << std::hexfloat << r1->shards[i].busy_seconds;
-  }
-
-  dist::ShardConfig fixed = dcfg;
-  fixed.planner.mode = plan::PlannerMode::kStatic;
-  std::vector<core::JoinMatch> reference;
-  MustRun(cfg, fixed, &reference);
-  std::sort(reference.begin(), reference.end());
-  EXPECT_EQ(m1.size(), reference.size());
-  EXPECT_TRUE(m1 == reference);
 }
 
 TEST(ShardSchedulerTest, SharedPcieLinkContendsAndDedicatedDoesNot) {

@@ -295,7 +295,9 @@ TEST(RequestServer, OverloadShedsAndBoundsTheTail) {
   sc.batch.batch_tuples = uint64_t{1} << 15;
   sc.batch.min_batch_tuples = sc.batch.batch_tuples;
   sc.batch.adaptive = false;
-  sc.requests = 4000;
+  // Enough requests for the 2x-saturated backlog to overflow; at 500 it
+  // never sheds.
+  sc.requests = 1000;
   const double window = CalibrateWindowSeconds(sc.batch.batch_tuples);
   const double capacity =
       static_cast<double>(sc.batch.batch_tuples) / window;
@@ -372,7 +374,7 @@ TEST(RequestServer, AdaptiveBatchingGrowsUnderLoad) {
   sc.tuples_per_request = 4096;
   sc.batch.batch_tuples = sc.batch.min_batch_tuples = uint64_t{1} << 13;
   sc.batch.max_batch_tuples = uint64_t{1} << 17;
-  sc.requests = 4000;
+  sc.requests = 500;
   const double window = CalibrateWindowSeconds(sc.batch.batch_tuples);
   sc.arrival.rate = 1.5 * static_cast<double>(sc.batch.batch_tuples) /
                     window / sc.tuples_per_request;
