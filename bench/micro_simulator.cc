@@ -73,7 +73,7 @@ BENCHMARK(BM_WarpGather);
 // These pin the per-transaction paths (cache tag scan, TLB interference
 // tracking, gather dedup) that bound how large a probe sample every
 // figure sweep can afford. Their trajectory across PRs is recorded in
-// results/BENCH_sim.json (see scripts/bench_sim.sh).
+// results/BENCH_sim.json (see `scripts/bench.py sim`).
 
 // Shrinks the caches so every access reaches the TLB path, the same
 // trick the interference tests use.

@@ -46,11 +46,6 @@ Result<ShardPlan> ShardPlanner::Plan(const workload::KeyColumn& r,
   plan.shift = span_bits > plan.cell_bits ? span_bits - plan.cell_bits : 0;
 
   const uint64_t cells = uint64_t{1} << plan.cell_bits;
-  plan.owner_of_cell.resize(cells);
-  for (uint64_t c = 0; c < cells; ++c) {
-    plan.owner_of_cell[c] = static_cast<int>(
-        c * static_cast<uint64_t>(num_shards) / cells);
-  }
 
   // Per-cell R positions: one LowerBound per cell boundary, at most
   // 2^9 for 64 shards. Every shard boundary is a cell boundary.
@@ -63,15 +58,31 @@ Result<ShardPlan> ShardPlanner::Plan(const workload::KeyColumn& r,
   }
   plan.cell_pos[cells] = r.size();
 
+  // Deal by R position, not by cell index: shard s starts at the first
+  // cell whose R position reaches s/num_shards of R. The span is rounded
+  // up to a power of two, so when |R| is not one the top cells are
+  // empty and an index deal would starve the last shards. For dense
+  // power-of-two R every cell holds |R|/cells keys, and this is the
+  // index deal ceil(s * cells / num_shards). 128-bit products keep the
+  // comparison exact for any R.
+  const unsigned __int128 n = static_cast<unsigned>(num_shards);
   plan.cells_begin.resize(num_shards + 1);
   plan.pos_begin.resize(num_shards + 1);
-  for (int s = 0; s <= num_shards; ++s) {
-    // First cell whose owner is >= s: ceil(s * cells / num_shards).
-    plan.cells_begin[s] =
-        (static_cast<uint64_t>(s) * cells +
-         static_cast<uint64_t>(num_shards) - 1) /
-        static_cast<uint64_t>(num_shards);
-    plan.pos_begin[s] = plan.cell_pos[plan.cells_begin[s]];
+  uint64_t c = 0;
+  for (int s = 0; s < num_shards; ++s) {
+    const unsigned __int128 target =
+        static_cast<unsigned __int128>(s) * r.size();
+    while (c < cells && plan.cell_pos[c] * n < target) ++c;
+    plan.cells_begin[s] = c;
+    plan.pos_begin[s] = plan.cell_pos[c];
+  }
+  plan.cells_begin[num_shards] = cells;
+  plan.pos_begin[num_shards] = r.size();
+
+  plan.owner_of_cell.resize(cells);
+  for (int s = 0; s < num_shards; ++s) {
+    std::fill(plan.owner_of_cell.begin() + plan.cells_begin[s],
+              plan.owner_of_cell.begin() + plan.cells_begin[s + 1], s);
   }
 
   for (int s = 0; s < num_shards; ++s) {

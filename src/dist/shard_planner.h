@@ -17,9 +17,10 @@ namespace gpujoin::dist {
 // run of radix cells — and therefore a contiguous slice of the sorted R.
 //
 // The domain is cut into 2^cell_bits equal key ranges ("cells") and
-// cells are dealt to shards contiguously, `cell * num_shards >> cell_bits`
-// style, which keeps the split balanced (within one cell) for
-// non-power-of-two shard counts too.
+// cells are dealt to shards contiguously by R position: shard s starts
+// at the first cell that begins at or past s/num_shards of R. That keeps
+// every slice within one cell of |R|/num_shards, for non-power-of-two
+// shard counts and R sizes too.
 //
 // The same plan places nodes one level up (the cluster's "shards" are
 // nodes). Cells are also the granularity of the cluster's elastic

@@ -97,17 +97,13 @@ uint64_t PlannedBackend::HashJoinMatches(
   return matches;
 }
 
-PlannedBackend::EngineObservation PlannedBackend::ObserveEngine(
-    index::IndexType type, uint64_t windows) const {
-  EngineObservation observed;
+uint64_t PlannedBackend::ObserveHostBytes(index::IndexType type) const {
+  uint64_t host_bytes = 0;
   const auto* timeline = engines_.at(type).experiment->phase_timeline();
   for (const sim::PhaseSpan& span : timeline->Spans()) {
-    observed.seconds += span.seconds;
-    observed.host_bytes += span.delta.interconnect_bytes();
+    host_bytes += span.delta.interconnect_bytes();
   }
-  observed.seconds += static_cast<double>(windows) *
-                      ctx_.platform.gpu.stream_sync_overhead;
-  return observed;
+  return host_bytes;
 }
 
 Result<core::SliceRun> PlannedBackend::Engine::Run(
@@ -177,7 +173,7 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
     struct Slot {
       Status status;
       core::SliceRun result;
-      EngineObservation observed;
+      uint64_t host_bytes = 0;
     };
     std::vector<Slot> slots(candidates.size());
 
@@ -186,9 +182,7 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
       if (candidates[i].kind == PlanChoice::Kind::kHashJoin) {
         slots[i].result.seconds =
             PredictSeconds(ctx_, candidates[i], out.features);
-        slots[i].observed.seconds = slots[i].result.seconds;
-        slots[i].observed.host_bytes =
-            HashJoinHostBytes(count, ctx_.r_tuples);
+        slots[i].host_bytes = HashJoinHostBytes(count, ctx_.r_tuples);
       } else {
         by_engine[candidates[i].index_type].push_back(i);
       }
@@ -209,8 +203,7 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
             return;
           }
           slots[i].result = *r;
-          slots[i].observed =
-              ObserveEngine(candidates[i].index_type, r->windows);
+          slots[i].host_bytes = ObserveHostBytes(candidates[i].index_type);
         }
       });
     }
@@ -231,7 +224,7 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
     out.matches = out.chosen.kind == PlanChoice::Kind::kHashJoin
                       ? HashJoinMatches(begin, count, collect)
                       : slots[best].result.matches;
-    link_bytes = static_cast<double>(slots[best].observed.host_bytes);
+    link_bytes = static_cast<double>(slots[best].host_bytes);
 
     // The oracle saw every candidate's true time — feed them all, so a
     // shared planner warm-started by an oracle phase routes well.
@@ -253,13 +246,10 @@ Result<BatchOutcome> PlannedBackend::RouteSlice(
       if (!r.ok()) return r.status();
       out.charged_seconds = r->seconds;
       out.matches = r->matches;
-      const EngineObservation observed =
-          ObserveEngine(out.chosen.index_type, r->windows);
-      link_bytes = static_cast<double>(observed.host_bytes);
+      link_bytes =
+          static_cast<double>(ObserveHostBytes(out.chosen.index_type));
       // Residuals learn the charged time — the objective the router
-      // minimizes. The span sum composes the pipeline stages serially,
-      // so it over-counts what the cost model overlaps, by a different
-      // factor per plan shape; it feeds the link signal instead.
+      // minimizes.
       planner_->Observe(ctx_, out.chosen, out.features, r->seconds);
     }
   }

@@ -131,18 +131,11 @@ class PlannedBackend : public serve::WindowBackend {
   uint64_t HashJoinMatches(uint64_t begin, uint64_t count,
                            std::vector<core::JoinMatch>* collect) const;
 
-  // Timeline-derived observation for the link-utilization signal:
-  // seconds is the sum of the engine's phase spans (disjoint pipeline
-  // stages) plus the per-window stream sync the cost model charges
-  // outside kernels; host_bytes is the spans' interconnect traffic.
-  // (Residual feedback uses the charged SliceRun seconds — the span
-  // sum composes stages serially and over-counts overlapped work.)
-  struct EngineObservation {
-    double seconds = 0;
-    uint64_t host_bytes = 0;
-  };
-  EngineObservation ObserveEngine(index::IndexType type,
-                                  uint64_t windows) const;
+  // Interconnect bytes of the engine's last slice, summed over its phase
+  // spans, for the link-utilization signal. Spans nest (a window span
+  // holds its partition and probe spans), so an INLJ slice's bytes are
+  // counted twice.
+  uint64_t ObserveHostBytes(index::IndexType type) const;
 
   PlannedBackendConfig config_;
   PlanContext ctx_;

@@ -20,6 +20,7 @@
 #include "core/experiment.h"
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
+#include "join/cpu_reference.h"
 #include "serve/server.h"
 #include "sim/counters.h"
 #include "sim/fault.h"
@@ -204,6 +205,39 @@ TEST(ClusterSchedulerTest, MatchSetIsInvariantAcrossNodeCounts) {
   MustRun(cfg, four, &m4);
 
   EXPECT_TRUE(Sorted(m1) == Sorted(m4));
+}
+
+// Four nodes over an R that is not a power of two (3 * 2^16 keys): the
+// node deal and each node's GPU deal go by R position, so every node
+// owns a quarter of R, and the cluster finds exactly the CPU
+// reference's matches.
+TEST(ClusterSchedulerTest, NonPowerOfTwoRMatchesTheCpuReference) {
+  core::ExperimentConfig cfg = ClusterExpConfig();
+  cfg.r_tuples = uint64_t{3} << 16;
+  cfg.s_sample = uint64_t{1} << 14;
+  cluster::ClusterConfig ccfg;
+  ccfg.num_nodes = 4;
+  ccfg.gpus_per_node = 2;
+  auto engine = cluster::ClusterScheduler::Create(cfg, ccfg);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<core::JoinMatch> matches;
+  auto run = (*engine)->RunJoin(&matches);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const auto& node : run->nodes) {
+    EXPECT_EQ(node.r_tuples, cfg.r_tuples / 4) << "node " << node.node;
+  }
+
+  // The probe sample is a pure function of the config: a plain dist
+  // engine draws the same one over the same R.
+  auto reference = dist::ShardScheduler::Create(cfg, dist::ShardConfig{});
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<core::JoinMatch> expected;
+  for (const join::ReferenceMatch& m : join::CpuReferenceJoin(
+           (*reference)->base_r(), (*reference)->s().keys.data())) {
+    expected.push_back({m.probe_row, m.position});
+  }
+  EXPECT_EQ(matches.size(), cfg.s_sample);
+  EXPECT_TRUE(Sorted(matches) == Sorted(expected));
 }
 
 // Node death mid-run: the dead node's key range is rerouted to the
@@ -415,7 +449,7 @@ TEST(ClusterSchedulerTest, SimulatedOutputIsPinned) {
     ccfg.gpus_per_node = 2;
     ccfg.network = cluster::NetworkKind::kEthernet;
     const double fault_free = MustRun(cfg, ccfg).sim_makespan;
-    EXPECT_EQ(fault_free, 0x1.8de6666cc17c1p-11)
+    EXPECT_EQ(fault_free, 0x1.5364ef1f288p-11)
         << std::hexfloat << fault_free;
     ccfg.membership.push_back(
         {cluster::MembershipEvent::Kind::kAddNode, -1, 0.2 * fault_free});
@@ -428,32 +462,32 @@ TEST(ClusterSchedulerTest, SimulatedOutputIsPinned) {
     ccfg.failover.heartbeat_timeout = 0.5 * fault_free;
     const auto run = MustRun(cfg, ccfg);
 
-    EXPECT_EQ(run.run.seconds, 0x1.3cad3705eb745p-1)
+    EXPECT_EQ(run.run.seconds, 0x1.323d01e9996f9p-1)
         << std::hexfloat << run.run.seconds;
-    EXPECT_EQ(run.sim_makespan, 0x1.ea7b8a7bd767p-10)
+    EXPECT_EQ(run.sim_makespan, 0x1.d302022d28b22p-10)
         << std::hexfloat << run.sim_makespan;
     EXPECT_EQ(run.merge_seconds, 0x1.5eef66bdefc32p-3)
         << std::hexfloat << run.merge_seconds;
     EXPECT_EQ(run.migration_seconds, 0x1.5b031da11cc74p-6)
         << std::hexfloat << run.migration_seconds;
     EXPECT_EQ(run.moved_r_tuples, 1245184u);
-    EXPECT_EQ(run.robustness.detection_seconds, 0x1.2fa72b6704de2p-12)
+    EXPECT_EQ(run.robustness.detection_seconds, 0x1.f87890716c39cp-13)
         << std::hexfloat << run.robustness.detection_seconds;
     EXPECT_EQ(run.rebalance_events, 2u);
     EXPECT_EQ(run.robustness.failovers.size(), 1u);
-    EXPECT_EQ(run.steal_events, 6u);
+    EXPECT_EQ(run.steal_events, 2u);
     const sim::CounterSet counters = {
-        .host_random_read_bytes = 4524075435u,
-        .host_seq_read_bytes = 119829163u,
+        .host_random_read_bytes = 4436797141u,
+        .host_seq_read_bytes = 119945728u,
         .translation_requests = 5464u,
-        .tlb_hits = 35346388u,
-        .hbm_read_bytes = 539260373u,
-        .hbm_write_bytes = 720169771u,
-        .l1_hits = 75318280u,
-        .l2_misses = 35344339u,
-        .warp_steps = 6572281u,
-        .memory_transactions = 115332974u,
-        .kernel_launches = 66u};
+        .tlb_hits = 34665437u,
+        .hbm_read_bytes = 546924544u,
+        .hbm_write_bytes = 735294123u,
+        .l1_hits = 74265322u,
+        .l2_misses = 34662478u,
+        .warp_steps = 6582299u,
+        .memory_transactions = 113602252u,
+        .kernel_launches = 74u};
     EXPECT_TRUE(run.run.counters == counters) << run.run.counters.ToString();
 
     struct PinnedNode {
@@ -463,10 +497,10 @@ TEST(ClusterSchedulerTest, SimulatedOutputIsPinned) {
       double busy_seconds;
     };
     const PinnedNode nodes[] = {
-        {0u, 16945u, 2263u, 0x1.1ab8b27b85056p-11},
-        {1048576u, 25117u, 6417u, 0x1.5505c63cff29ap-10},
-        {0u, 7603u, 0u, 0x1.0fe41525fc7e9p-12},
-        {1048576u, 15871u, 15871u, 0x1.554524130ed87p-10},
+        {0u, 16945u, 2263u, 0x1.0f54e8e150024p-11},
+        {1048576u, 25117u, 6417u, 0x1.4ac1e0d023a7fp-10},
+        {0u, 7603u, 0u, 0x1.862c98c7fd43ap-13},
+        {1048576u, 15871u, 15871u, 0x1.53bc288179823p-10},
     };
     ASSERT_EQ(run.nodes.size(), std::size(nodes));
     for (size_t n = 0; n < std::size(nodes); ++n) {

@@ -17,6 +17,7 @@
 #include "dist/shard_planner.h"
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
+#include "join/cpu_reference.h"
 #include "serve/server.h"
 #include "sim/counters.h"
 #include "workload/key_column.h"
@@ -93,6 +94,41 @@ TEST(ShardPlannerTest, SplitsCoverRAndBalanceWithinSlack) {
       EXPECT_LT(owned, (r.size() / n) * 5 / 4 + 1);
     }
     EXPECT_EQ(total, r.size());
+  }
+}
+
+// An R whose size is not a power of two leaves the top cells of the
+// rounded-up key span empty. The deal goes by R position, so every
+// shard still owns a slice within one cell of |R|/N. Plan makes one
+// LowerBound per cell (at most 2^9), so even 3 * 2^32 keys plan fast.
+TEST(ShardPlannerTest, DealsByPositionWhenRIsNotAPowerOfTwo) {
+  for (uint64_t size :
+       {uint64_t{3} << 16, uint64_t{5} << 16, uint64_t{3} << 32}) {
+    mem::AddressSpace space;
+    workload::DenseKeyColumn r(&space, size);
+    for (int n : {2, 3, 4, 5, 7, 8}) {
+      SCOPED_TRACE("|R| " + std::to_string(size) + ", " +
+                   std::to_string(n) + " shards");
+      auto plan = dist::ShardPlanner::Plan(r, n);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      uint64_t max_cell = 0;
+      for (uint64_t c = 0; c < plan->cells(); ++c) {
+        max_cell = std::max(max_cell, plan->cell_r_tuples(c));
+      }
+      const uint64_t shards = static_cast<uint64_t>(n);
+      uint64_t total = 0;
+      for (int s = 0; s < n; ++s) {
+        const uint64_t owned = plan->shard_r_tuples(s);
+        EXPECT_GT(owned, 0u) << "shard " << s;
+        // |owned - |R|/N| <= max_cell, scaled by N to stay exact.
+        const uint64_t scaled = owned * shards;
+        EXPECT_LE(scaled > size ? scaled - size : size - scaled,
+                  max_cell * shards)
+            << "shard " << s << " owns " << owned;
+        total += owned;
+      }
+      EXPECT_EQ(total, size);
+    }
   }
 }
 
@@ -235,6 +271,36 @@ TEST(ShardSchedulerTest, EveryProbeTupleIsRoutedAndJoined) {
     EXPECT_EQ(sorted[i].probe_row, i);
     if (i > 1000) break;  // spot check; full scan is O(sample)
   }
+}
+
+// Four shards over an R that is not a power of two (3 * 2^16 keys) each
+// own a quarter of it and together find exactly the CPU reference's
+// matches.
+TEST(ShardSchedulerTest, NonPowerOfTwoRMatchesTheCpuReference) {
+  core::ExperimentConfig cfg = DistConfig();
+  cfg.r_tuples = uint64_t{3} << 16;
+  cfg.s_sample = uint64_t{1} << 14;
+  dist::ShardConfig dcfg;
+  dcfg.num_shards = 4;
+  auto engine = dist::ShardScheduler::Create(cfg, dcfg);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<core::JoinMatch> matches;
+  auto run = (*engine)->RunJoin(&matches);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  for (const auto& shard : run->shards) {
+    EXPECT_EQ(shard.r_tuples, cfg.r_tuples / 4) << "shard " << shard.shard;
+  }
+
+  std::vector<core::JoinMatch> expected;
+  for (const join::ReferenceMatch& m :
+       join::CpuReferenceJoin((*engine)->base_r(),
+                              (*engine)->s().keys.data())) {
+    expected.push_back({m.probe_row, m.position});
+  }
+  std::sort(matches.begin(), matches.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(matches.size(), cfg.s_sample);
+  EXPECT_TRUE(matches == expected);
 }
 
 // The fig10 scale-out claim on a small fixed-seed config: four uniform
