@@ -14,7 +14,6 @@
 
 #include "bench/bench_common.h"
 
-#include "obs/robustness.h"
 #include "plan/backend.h"
 #include "plan/metrics.h"
 #include "serve/server.h"
@@ -66,19 +65,6 @@ int Main(int argc, char** argv) {
   flags.DefineString("planner", "static",
                      "per-batch plan routing: static (fixed windowed "
                      "radix-spline) | adaptive | oracle");
-  flags.DefineDouble("request-deadline-ms", 0.0,
-                     "per-request deadline budget in simulated ms: doomed "
-                     "requests are shed before dispatch, late ones count "
-                     "as deadline misses (0 = no deadlines)",
-                     /*min=*/0.0, /*max=*/1e6);
-  flags.DefineInt64("retry-cap", 0,
-                    "seeded-backoff retries per batch slice before the "
-                    "batch is shed (0 = first backend error stays fatal)",
-                    /*min=*/0, /*max=*/32);
-  flags.DefineDouble("hedge-after", 0.0,
-                     "hedge a slice to the replica plan once the primary "
-                     "runs past this many simulated ms (0 = no hedging)",
-                     /*min=*/0.0, /*max=*/1e6);
   if (!ParseBenchFlags(flags, argc, argv)) return 0;
   MetricsSink sink(flags);
 
@@ -163,12 +149,6 @@ int Main(int argc, char** argv) {
       sc.tuples_per_request = tpr;
       sc.max_backlog_tuples =
           static_cast<uint64_t>(flags.GetInt64("max_backlog_tuples"));
-      sc.retry.deadline_seconds =
-          flags.GetDouble("request-deadline-ms") * 1e-3;
-      sc.retry.retry_cap = static_cast<int>(flags.GetInt64("retry-cap"));
-      sc.retry.hedge_after = flags.GetDouble("hedge-after") * 1e-3;
-      sc.retry.seed =
-          static_cast<uint64_t>(flags.GetInt64("seed")) * 7000 + ci;
 
       // Static: the pre-planner single-engine path, byte-identical to
       // the committed baselines. Adaptive / oracle: route every
@@ -248,13 +228,6 @@ int Main(int argc, char** argv) {
                     r.service_seconds_total, "s");
         if (routed != nullptr) {
           rec.AddSection("planner", plan::PlannerJson(*routed));
-        }
-        if (sc.retry.enabled()) {
-          rec.AddParam("request_deadline_seconds",
-                       sc.retry.deadline_seconds);
-          rec.AddParam("retry_cap", sc.retry.retry_cap);
-          rec.AddParam("hedge_after_seconds", sc.retry.hedge_after);
-          rec.AddSection("robustness", obs::RobustnessJson(r.robustness));
         }
         sink.Add(1 + ci, rec.ToJsonLine());
       }

@@ -412,8 +412,6 @@ SMOKES = [
     Row("plan_fig11",
         "fig11_adaptive --batches_per_phase 2 --batch_tuples 8192"),
     Row("chaos", "fig12_chaos --s_sample 65536", across_threads=True),
-    Row("retry", "serve_latency --requests 500 --retry-cap 3 "
-        "--request-deadline-ms 5 --hedge-after 1"),
     Row("htap", "fig13_htap --requests 500 --s_sample 65536 "
         "--merge-threshold 1024", across_threads=True),
     Row("tenant", "fig14_tenants --requests 2000 --verify-requests 500",
@@ -443,7 +441,8 @@ HOST_COMMANDS = [
 def build(build_dir, targets=None):
     subprocess.run(["cmake", "-B", build_dir, "-S", "."], check=True,
                    stdout=subprocess.DEVNULL)
-    subprocess.run(["cmake", "--build", build_dir, "-j"] +
+    subprocess.run(["cmake", "--build", build_dir, "-j",
+                    str(os.cpu_count() or 1)] +
                    (["--target"] + sorted(set(targets)) if targets else []),
                    check=True)
 

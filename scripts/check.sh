@@ -17,7 +17,7 @@ run_config() {
   shift
   echo "=== configure $dir ($*) ==="
   cmake -B "$dir" -S . "$@"
-  cmake --build "$dir" -j
+  cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure
 }
 
@@ -28,7 +28,7 @@ run_config build-release -DCMAKE_BUILD_TYPE=Release -DGPUJOIN_SANITIZE=
 # it) so a src/ change that breaks it fails here too.
 echo "=== configure build-perfbench (perfbench/, compile only) ==="
 cmake -B build-perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
-cmake --build build-perfbench -j
+cmake --build build-perfbench -j "$(nproc)"
 
 # Every golden table and deterministic BENCH_*.json under results/ must
 # regenerate byte for byte, with every BENCH gate passing; then every

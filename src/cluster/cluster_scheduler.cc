@@ -53,7 +53,7 @@ Result<std::unique_ptr<ClusterScheduler>> ClusterScheduler::Create(
   if (dist::IsNetwork(ccfg.node_topology)) {
     return Status::InvalidArgument(
         std::string("node_topology must be an in-node fabric (nvlink2 | "
-                    "pcie4 | nvswitch), got ") +
+                    "pcie4), got ") +
         dist::TopologyKindName(ccfg.node_topology));
   }
   if (ccfg.num_nodes > 1 &&
@@ -244,6 +244,14 @@ std::vector<int> ClusterScheduler::ChargeTargets() const {
   return targets;
 }
 
+std::vector<uint64_t> ClusterScheduler::ChargedRTuples() const {
+  std::vector<uint64_t> load(nodes_.size(), 0);
+  for (uint64_t c = 0; c < plan_.cells(); ++c) {
+    load[static_cast<size_t>(charge_of_cell_[c])] += plan_.cell_r_tuples(c);
+  }
+  return load;
+}
+
 void ClusterScheduler::MoveCell(uint64_t cell, int dst) {
   // Data ships from wherever the slice currently lives: its charge if
   // a previous rebalance migrated it, its origin otherwise.
@@ -268,17 +276,12 @@ Status ClusterScheduler::ReassignCells(int node, bool migrate) {
   }
   // Deal each orphaned cell to the least-loaded target (ties to the
   // lowest id) — balanced and deterministic.
-  std::vector<uint64_t> count(nodes_.size(), 0);
-  for (uint64_t c = 0; c < plan_.cells(); ++c) {
-    if (charge_of_cell_[c] != node) {
-      ++count[static_cast<size_t>(charge_of_cell_[c])];
-    }
-  }
+  std::vector<uint64_t> load = ChargedRTuples();
   for (uint64_t c = 0; c < plan_.cells(); ++c) {
     if (charge_of_cell_[c] != node) continue;
     int dst = targets[0];
     for (int t : targets) {
-      if (count[static_cast<size_t>(t)] < count[static_cast<size_t>(dst)]) {
+      if (load[static_cast<size_t>(t)] < load[static_cast<size_t>(dst)]) {
         dst = t;
       }
     }
@@ -289,42 +292,45 @@ Status ClusterScheduler::ReassignCells(int node, bool migrate) {
       charge_of_cell_[c] = dst;
       cell_migrated_[c] = 0;
     }
-    ++count[static_cast<size_t>(dst)];
+    load[static_cast<size_t>(dst)] += plan_.cell_r_tuples(c);
   }
   return Status::Ok();
 }
 
 Status ClusterScheduler::RebalanceOnto(int node) {
-  const uint64_t share = plan_.cells() / ChargeTargets().size();
-  std::vector<uint64_t> count(nodes_.size(), 0);
-  for (uint64_t c = 0; c < plan_.cells(); ++c) {
-    ++count[static_cast<size_t>(charge_of_cell_[c])];
-  }
-  // Take cells from the most-loaded nodes until the joiner holds an
-  // equal share; each donor gives up its highest cells first, so the
-  // moved key ranges are contiguous tails and everything untouched
-  // stays exactly where it was (incremental rebalancing).
-  while (count[static_cast<size_t>(node)] < share) {
+  // The joiner's target is floor(cells / N) average cells' worth of R
+  // tuples, which over equal cells is exactly the floor(cells / N) cells
+  // an equal split gives.
+  const uint64_t cells = plan_.cells();
+  const uint64_t target = static_cast<uint64_t>(
+      static_cast<unsigned __int128>(cells / ChargeTargets().size()) *
+      plan_.cell_pos[cells] / cells);
+  std::vector<uint64_t> load = ChargedRTuples();
+  // Take cells from the most-loaded nodes until the joiner holds its
+  // target; each donor gives up its highest cells first, so the moved
+  // key ranges are contiguous tails and everything untouched stays
+  // exactly where it was (incremental rebalancing).
+  while (load[static_cast<size_t>(node)] < target) {
     int donor = -1;
     for (const auto& cand : nodes_) {
       if (cand->id == node) continue;
-      if (donor < 0 || count[static_cast<size_t>(cand->id)] >
-                           count[static_cast<size_t>(donor)]) {
+      if (donor < 0 || load[static_cast<size_t>(cand->id)] >
+                           load[static_cast<size_t>(donor)]) {
         donor = cand->id;
       }
     }
-    if (donor < 0 || count[static_cast<size_t>(donor)] <= share) break;
-    uint64_t victim = plan_.cells();
-    for (uint64_t c = plan_.cells(); c-- > 0;) {
+    if (donor < 0 || load[static_cast<size_t>(donor)] <= target) break;
+    uint64_t victim = cells;
+    for (uint64_t c = cells; c-- > 0;) {
       if (charge_of_cell_[c] == donor) {
         victim = c;
         break;
       }
     }
-    if (victim == plan_.cells()) break;
+    if (victim == cells) break;
     MoveCell(victim, node);
-    --count[static_cast<size_t>(donor)];
-    ++count[static_cast<size_t>(node)];
+    load[static_cast<size_t>(donor)] -= plan_.cell_r_tuples(victim);
+    load[static_cast<size_t>(node)] += plan_.cell_r_tuples(victim);
   }
   return Status::Ok();
 }

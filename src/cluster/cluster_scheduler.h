@@ -249,13 +249,19 @@ class ClusterScheduler final : public serve::WindowBackend {
   // balanced and deterministic. `migrate` ships the data (drain/join
   // rebalancing); a death reroute leaves the data where it is.
   Status ReassignCells(int node, bool migrate);
-  // Moves an equal share of cells onto joiner `node` (kAddNode).
+  // Moves an equal share of R's tuples, in whole cells, onto joiner
+  // `node` (kAddNode).
   Status RebalanceOnto(int node);
   // Ships cell `c`'s R slice to `dst` and re-charges the cell.
   void MoveCell(uint64_t cell, int dst);
 
   // Nodes currently accepting charges, in id order.
   std::vector<int> ChargeTargets() const;
+  // Per node id, the R tuples of the cells charged to it. Load is
+  // counted in tuples, not cells: when |R| is not a power of two the top
+  // cells of the key span hold no R, and a deal by cell count could hand
+  // a node almost none.
+  std::vector<uint64_t> ChargedRTuples() const;
 
   double MergeSecondsNet(const std::vector<uint64_t>& result_bytes,
                          int ingress);

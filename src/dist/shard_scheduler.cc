@@ -37,8 +37,8 @@ Result<std::unique_ptr<ShardScheduler>> ShardScheduler::Create(
   }
   if (IsNetwork(dcfg.topology)) {
     return Status::InvalidArgument(
-        std::string("topology must be an in-node fabric (nvlink2 | pcie4 | "
-                    "nvswitch), got ") +
+        std::string("topology must be an in-node fabric (nvlink2 | pcie4), "
+                    "got ") +
         TopologyKindName(dcfg.topology));
   }
   Status fst = dcfg.failover.device_faults.Validate(dcfg.num_shards);

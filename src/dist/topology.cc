@@ -30,8 +30,6 @@ const char* TopologyKindName(TopologyKind kind) {
       return "nvlink2";
     case TopologyKind::kPciE4:
       return "pcie4";
-    case TopologyKind::kNvSwitch:
-      return "nvswitch";
     case TopologyKind::kInfiniBand:
       return "infiniband";
     case TopologyKind::kEthernet:
@@ -47,7 +45,6 @@ bool IsNetwork(TopologyKind kind) {
 Result<Topology> Topology::Create(TopologyKind kind, int num_devices) {
   switch (kind) {
     case TopologyKind::kNvLink2:
-    case TopologyKind::kNvSwitch:
       return FromSpec(kind, num_devices, sim::NvLink2());
     case TopologyKind::kPciE4:
       return FromSpec(kind, num_devices, sim::PciE4());
@@ -93,14 +90,6 @@ Result<Topology> Topology::FromSpec(TopologyKind kind, int num_devices,
           prefix + ".host" + std::to_string(d), spec, /*shared=*/false));
     }
   }
-  if (kind == TopologyKind::kNvSwitch) {
-    topo.peer_link_of_.resize(num_devices);
-    for (int d = 0; d < num_devices; ++d) {
-      topo.peer_link_of_[d] = static_cast<int>(topo.links_.size());
-      topo.links_.push_back(MakeLink(
-          prefix + ".port" + std::to_string(d), spec, /*shared=*/false));
-    }
-  }
   return topo;
 }
 
@@ -121,11 +110,6 @@ double Topology::PeerSeconds(int from, int to, uint64_t bytes) const {
   if (from == to || bytes == 0) return 0;
   const double b = static_cast<double>(bytes);
   switch (kind_) {
-    case TopologyKind::kNvSwitch: {
-      // One switch hop at full NVLink rate.
-      const Link& port = links_[peer_link_of_[from]];
-      return b / port.seq_bandwidth + port.latency;
-    }
     case TopologyKind::kNvLink2: {
       // Through host memory: out on one brick, in on the other.
       const Link& out = links_[host_link_of_[from]];
@@ -160,8 +144,6 @@ std::vector<int> Topology::PeerLinks(int from, int to) const {
   CheckEndpoints("PeerLinks", from, to, num_devices_);
   if (from == to) return {};
   switch (kind_) {
-    case TopologyKind::kNvSwitch:
-      return {peer_link_of_[from], peer_link_of_[to]};
     case TopologyKind::kNvLink2:
     case TopologyKind::kInfiniBand:
       return {host_link_of_[from], host_link_of_[to]};

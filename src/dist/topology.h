@@ -25,9 +25,6 @@ enum class TopologyKind {
   // A100 + PCI-e 4.0 (Fig. 9): all devices hang off one root complex;
   // the host link is shared and contended, peer traffic crosses it twice.
   kPciE4,
-  // DGX-style NVSwitch fabric: dedicated host links plus an all-to-all
-  // switch, so peer transfers take one uncontended hop at NVLink rate.
-  kNvSwitch,
   // Network presets. The paper's fast interconnects live *inside* one
   // machine; the moment the index outgrows a node, probes and results
   // cross a network whose bandwidth and latency are one to three orders
@@ -133,7 +130,6 @@ class Topology {
   int backplane_link_ = -1;         // links() index, kEthernet only
   std::vector<Link> links_;
   std::vector<int> host_link_of_;   // device -> link index
-  std::vector<int> peer_link_of_;   // device -> switch port (kNvSwitch)
 };
 
 }  // namespace gpujoin::dist

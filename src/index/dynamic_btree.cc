@@ -1,7 +1,6 @@
 #include "index/dynamic_btree.h"
 
 #include <algorithm>
-#include <array>
 
 #include "util/check.h"
 #include "util/units.h"
@@ -106,11 +105,6 @@ void DynamicBTree::FreeNode(Node* node) {
   free_slots_.push_back(node->slot);
   --num_nodes_;
   delete node;
-}
-
-mem::VirtAddr DynamicBTree::NodeAddr(const Node* node) const {
-  return regions_[node->slot / chunk_nodes_].base +
-         (node->slot % chunk_nodes_) * uint64_t{node_bytes_};
 }
 
 int DynamicBTree::height() const {
@@ -344,97 +338,6 @@ bool DynamicBTree::Erase(Key key) {
     FreeNode(old_root);
   }
   return erased;
-}
-
-// --- SIMT read path ---------------------------------------------------------
-
-uint32_t DynamicBTree::LookupWarp(sim::Warp& warp, const Key* keys,
-                                  uint32_t mask,
-                                  uint64_t* out_value) const {
-  constexpr int kW = sim::Warp::kWidth;
-  std::array<const Node*, kW> node{};
-  std::array<mem::VirtAddr, kW> addrs{};
-  for (int lane = 0; lane < kW; ++lane) {
-    if (mask & (1u << lane)) node[lane] = root_;
-  }
-
-  // All leaves sit at the same depth, so the warp descends in lock-step.
-  const int levels = height();
-  for (int depth = 0; depth < levels; ++depth) {
-    // Node header.
-    for (int lane = 0; lane < kW; ++lane) {
-      if (mask & (1u << lane)) addrs[lane] = NodeAddr(node[lane]);
-    }
-    warp.Gather(addrs.data(), mask, kHeaderBytes);
-
-    // Lock-step binary search over the node's keys.
-    std::array<uint32_t, kW> lo{};
-    std::array<uint32_t, kW> hi{};
-    for (int lane = 0; lane < kW; ++lane) {
-      if (!(mask & (1u << lane))) continue;
-      lo[lane] = 0;
-      hi[lane] = static_cast<uint32_t>(node[lane]->keys.size());
-    }
-    uint32_t active = mask;
-    while (active != 0) {
-      uint32_t issue = 0;
-      std::array<uint32_t, kW> mid{};
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(active & (1u << lane))) continue;
-        if (lo[lane] >= hi[lane]) {
-          active &= ~(1u << lane);
-          continue;
-        }
-        mid[lane] = lo[lane] + (hi[lane] - lo[lane]) / 2;
-        addrs[lane] =
-            NodeAddr(node[lane]) + kHeaderBytes + uint64_t{mid[lane]} * 8;
-        issue |= 1u << lane;
-      }
-      if (issue == 0) break;
-      warp.Gather(addrs.data(), issue, sizeof(Key));
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(issue & (1u << lane))) continue;
-        const Node* n = node[lane];
-        const Key probe = keys[lane];
-        const bool go_right = n->leaf ? n->keys[mid[lane]] < probe
-                                      : n->keys[mid[lane]] <= probe;
-        if (go_right) {
-          lo[lane] = mid[lane] + 1;
-        } else {
-          hi[lane] = mid[lane];
-        }
-      }
-    }
-
-    if (depth + 1 < levels) {
-      // Read the child pointer slot and descend.
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(mask & (1u << lane))) continue;
-        addrs[lane] = NodeAddr(node[lane]) + kHeaderBytes +
-                      uint64_t{inner_capacity_} * 8 + uint64_t{lo[lane]} * 8;
-        node[lane] = node[lane]->children[lo[lane]];
-      }
-      warp.Gather(addrs.data(), mask, 8);
-    } else {
-      // Leaf: read the value slot for matches.
-      uint32_t found = 0;
-      uint32_t value_mask = 0;
-      for (int lane = 0; lane < kW; ++lane) {
-        if (!(mask & (1u << lane))) continue;
-        const Node* n = node[lane];
-        if (lo[lane] < n->keys.size() && n->keys[lo[lane]] == keys[lane]) {
-          out_value[lane] = n->values[lo[lane]];
-          found |= 1u << lane;
-          addrs[lane] = NodeAddr(n) + kHeaderBytes +
-                        uint64_t{leaf_capacity_} * 8 + uint64_t{lo[lane]} * 8;
-          value_mask |= 1u << lane;
-        }
-      }
-      if (value_mask != 0) warp.Gather(addrs.data(), value_mask, 8);
-      return found;
-    }
-  }
-  return 0;  // unreachable: the loop returns at the leaf level
 }
 
 // --- Invariants --------------------------------------------------------------

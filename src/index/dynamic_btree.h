@@ -3,27 +3,24 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "mem/address_space.h"
-#include "sim/gpu.h"
 #include "util/status.h"
 #include "workload/key_column.h"
 
 namespace gpujoin::index {
 
-// A mutable B+tree in simulated CPU memory, with the same SIMT read path
-// as the bulk-loaded BTreeIndex.
+// A mutable B+tree in simulated CPU memory.
 //
 // The paper's evaluation uses read-only indexes ("we assume the index
 // already exists when the query is run", Sec. 3.2) and recommends
 // Harmonia/B+trees over learned indexes "if the index must support
-// inserts and updates" (Sec. 6). DynamicBTree covers that scenario: the
-// CPU maintains the tree between queries (Insert / Erase / Find), while
-// the GPU performs out-of-core lookups against it through LookupWarp,
-// charging the same coalesced cacheline traffic as the static indexes.
+// inserts and updates" (Sec. 6). DynamicBTree holds the writes of that
+// scenario: the CPU maintains the tree between queries (Insert / Erase /
+// Find), and index::DeltaIndex records upserts and deletes in it until a
+// merge drains them into the read-only base.
 //
 // Unlike the implicit bulk-loaded trees, nodes are materialized: each
 // node owns real key/value storage plus a reserved simulated address, so
@@ -96,12 +93,6 @@ class DynamicBTree {
     return free_slots_.size() + (max_nodes_ - next_node_slot_);
   }
 
-  // SIMT lookup of up to 32 keys (GPU side, charges coalesced gathers).
-  // out_value[lane] receives the value for found lanes; returns the
-  // found-mask.
-  uint32_t LookupWarp(sim::Warp& warp, const Key* keys, uint32_t mask,
-                      uint64_t* out_value) const;
-
   // Validates all tree invariants (key order, fill bounds, uniform leaf
   // depth, parent/child key consistency); CHECK-fails on violation.
   // Exposed for tests.
@@ -113,9 +104,6 @@ class DynamicBTree {
   Node* AllocateNode(bool leaf);
   void FreeNode(Node* node);
   void DestroySubtree(Node* node);
-
-  // Simulated address of a node's slot within the chunked reservations.
-  mem::VirtAddr NodeAddr(const Node* node) const;
 
   // Splits `node` (which is full); `parent` receives the new separator.
   // Root splits grow the tree.

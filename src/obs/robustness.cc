@@ -23,15 +23,6 @@ std::string RobustnessJson(const RobustnessStats& stats) {
   w.Key("reexec_windows").Uint(stats.reexec_windows);
   w.Key("detection_seconds").Double(stats.detection_seconds);
   w.Key("slow_delay_seconds").Double(stats.slow_delay_seconds);
-  w.Key("retries").Uint(stats.retries);
-  w.Key("hedges").Uint(stats.hedges);
-  w.Key("hedge_wins").Uint(stats.hedge_wins);
-  w.Key("deadline_misses").Uint(stats.deadline_misses);
-  w.Key("shed_deadline").Uint(stats.shed_deadline);
-  w.Key("shed_retry_exhausted").Uint(stats.shed_retry_exhausted);
-  w.Key("retry_histogram").BeginArray();
-  for (uint64_t count : stats.retry_histogram) w.Uint(count);
-  w.EndArray();
   w.EndObject();
   return w.TakeString();
 }

@@ -25,27 +25,15 @@ struct FailoverRecord {
   double reexec_seconds = 0;
 };
 
-// The robustness counters a faulty run accumulates across the stack:
-// failover activity from the sharded engine and retry/hedge/deadline
-// activity from the request server. All-zero (and `failovers` empty)
-// on a fault-free run, in which case the JSON section is omitted by
-// callers — keeping fault-free records bit-identical to older builds.
+// The failover counters a faulty sharded or cluster run accumulates.
+// All-zero (and `failovers` empty) on a fault-free run, in which case
+// the JSON section is omitted by callers — keeping fault-free records
+// bit-identical to older builds.
 struct RobustnessStats {
-  // dist::ShardScheduler failover path.
   std::vector<FailoverRecord> failovers;
   uint64_t reexec_windows = 0;     // windows needing any re-execution
   double detection_seconds = 0;    // total heartbeat-timeout wait charged
   double slow_delay_seconds = 0;   // transient slow/link-down stretch
-
-  // serve::RequestServer retry machinery.
-  uint64_t retries = 0;            // backoff re-issues of a batch slice
-  uint64_t hedges = 0;             // hedged re-issues to the replica plan
-  uint64_t hedge_wins = 0;         // hedges that beat the primary
-  uint64_t deadline_misses = 0;    // served, but past their deadline
-  uint64_t shed_deadline = 0;      // dropped: deadline budget exhausted
-  uint64_t shed_retry_exhausted = 0;  // dropped: retry cap hit
-  // retry_histogram[k] = requests that needed exactly k retries.
-  std::vector<uint64_t> retry_histogram;
 };
 
 // The stats as a JSON object, spliced into a bench record with

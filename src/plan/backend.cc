@@ -272,21 +272,4 @@ Result<double> PlannedBackend::ServiceSlice(uint64_t begin, uint64_t count,
   return outcome->charged_seconds;
 }
 
-Result<double> PlannedBackend::ServiceHedge(uint64_t begin, uint64_t count,
-                                            uint64_t ordinal) {
-  if (count == 0) {
-    return Status::InvalidArgument("cannot hedge an empty slice");
-  }
-  if (begin + count > sample_size_) {
-    return Status::InvalidArgument("slice exceeds the probe sample");
-  }
-  PlanChoice replica;
-  replica.kind = PlanChoice::Kind::kInlj;
-  replica.index_type = config_.base.index_type;
-  replica.mode = core::InljConfig::PartitionMode::kFull;
-  Result<core::SliceRun> run = ExecutePlan(replica, begin, count, ordinal);
-  if (!run.ok()) return run.status();
-  return run->seconds;
-}
-
 }  // namespace gpujoin::plan

@@ -74,13 +74,6 @@ class PlannedBackend : public serve::WindowBackend {
   Result<double> ServiceSlice(uint64_t begin, uint64_t count,
                               uint64_t ordinal) override;
 
-  // The serving layer's hedged re-issue lands on the replica plan: the
-  // base index under full partitioning — the static pipeline's safe
-  // default — executed without routing, residual feedback, or RNG
-  // draws, so a hedge can never perturb the router's learned state.
-  Result<double> ServiceHedge(uint64_t begin, uint64_t count,
-                              uint64_t ordinal) override;
-
   // As ServiceSlice, but also exposes the full outcome and (optionally)
   // collects the chosen plan's match set.
   Result<BatchOutcome> RouteSlice(uint64_t begin, uint64_t count,

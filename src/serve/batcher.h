@@ -27,7 +27,7 @@ struct BatchPolicy {
   // non-finite deadline (which would silently disable the deadline
   // trigger and let partial batches wait forever). Called by
   // serve::RequestServer before the batcher is built; same idiom as
-  // RetryPolicy::Validate and sim::DeviceFaultConfig::Validate.
+  // ArrivalConfig::Validate and sim::DeviceFaultConfig::Validate.
   Status Validate() const;
 };
 

@@ -1,15 +1,12 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "serve/cache.h"
 #include "serve/ingest.h"
-#include "util/rng.h"
 
 namespace gpujoin::serve {
 
@@ -58,29 +55,6 @@ TenantConfig SingleTenantConfig() {
 
 }  // namespace
 
-Status RetryPolicy::Validate() const {
-  if (deadline_seconds < 0 || !std::isfinite(deadline_seconds)) {
-    return Status::InvalidArgument(
-        "retry.deadline_seconds must be finite and >= 0");
-  }
-  if (retry_cap < 0 || retry_cap > 32) {
-    return Status::InvalidArgument("retry.retry_cap must be in [0, 32]");
-  }
-  if (retry_cap > 0 && !(backoff_base > 0)) {
-    return Status::InvalidArgument(
-        "retry.backoff_base must be > 0 when retries are enabled");
-  }
-  if (backoff_jitter < 0 || backoff_jitter > 1) {
-    return Status::InvalidArgument(
-        "retry.backoff_jitter must be in [0, 1]");
-  }
-  if (hedge_after < 0 || !std::isfinite(hedge_after)) {
-    return Status::InvalidArgument(
-        "retry.hedge_after must be finite and >= 0");
-  }
-  return Status();
-}
-
 Result<ServeReport> RequestServer::Run() {
   if (serve_config_.requests == 0) {
     return Status::InvalidArgument("serving run needs at least one request");
@@ -91,8 +65,6 @@ Result<ServeReport> RequestServer::Run() {
   if (Status st = serve_config_.arrival.Validate(); !st.ok()) return st;
   if (Status st = serve_config_.batch.Validate(); !st.ok()) return st;
   if (Status st = serve_config_.tenants.Validate(); !st.ok()) return st;
-  const RetryPolicy& retry = serve_config_.retry;
-  if (Status st = retry.Validate(); !st.ok()) return st;
 
   const uint64_t tpr = serve_config_.tuples_per_request;
 
@@ -114,13 +86,8 @@ Result<ServeReport> RequestServer::Run() {
       tenancy ? serve_config_.tenants : SingleTenantConfig();
   if (tenancy) {
     // Tenant mode composes with admission control and adaptive batching
-    // but not (yet) with the retry/hedge machinery or online ingest;
-    // reject the combinations instead of silently ignoring the knobs.
-    if (retry.enabled()) {
-      return Status::InvalidArgument(
-          "tenant mode does not compose with retry.deadline_seconds / "
-          "retry.retry_cap / retry.hedge_after yet");
-    }
+    // but not (yet) with online ingest; reject the combination instead of
+    // silently ignoring the coordinator.
     if (ingesting) {
       return Status::InvalidArgument(
           "tenant mode does not compose with an active ingest coordinator");
@@ -160,15 +127,6 @@ Result<ServeReport> RequestServer::Run() {
   report.offered_rate = serve_config_.arrival.rate;
   std::vector<core::JoinMatch>* const collect =
       serve_config_.collect_matches ? &report.matches : nullptr;
-
-  // Backoff jitter stream: all draws happen on this (single) event-loop
-  // thread in batch order, so a fixed seed reproduces the run at any
-  // backend thread count. Never drawn with the default policy.
-  Xoshiro256 retry_rng(SplitMix64(retry.seed));
-  if (retry.retry_cap > 0) {
-    report.robustness.retry_histogram.assign(
-        static_cast<size_t>(retry.retry_cap) + 1, 0);
-  }
 
   // Admitted requests in arrival order, from the oldest one not yet
   // served; request id `queue_base + i` is queue[i]. The router hands
@@ -214,86 +172,48 @@ Result<ServeReport> RequestServer::Run() {
     }
   };
 
-  // Services s[begin, begin + count) under the retry policy, adding the
-  // charged simulated time (backoff waits included) to *service. Returns
-  // false when the retry cap ran out, so the caller sheds the batch; with
-  // the default retry_cap == 0 the first backend error stays fatal,
-  // exactly the pre-retry behaviour.
+  // Services s[begin, begin + count) as the next window, adding its
+  // simulated time to *service.
   auto run_slice = [&](uint64_t begin, uint64_t count,
                        std::vector<core::JoinMatch>* out,
-                       double* service) -> Result<bool> {
-    double slice_time = 0;
-    int attempts = 0;
-    for (;;) {
-      Result<double> slice =
-          backend->ServiceSliceCollect(begin, count, ordinal++, out);
-      if (slice.ok()) {
-        slice_time = *slice;
-        break;
-      }
-      if (attempts >= retry.retry_cap) {
-        if (retry.retry_cap == 0) return slice.status();
-        ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
-        return false;
-      }
-      double wait = retry.backoff_base * std::ldexp(1.0, attempts);
-      if (retry.backoff_jitter > 0) {
-        wait *= 1.0 + retry.backoff_jitter *
-                          (2.0 * retry_rng.NextDouble() - 1.0);
-      }
-      *service += wait;
-      ++attempts;
-      ++report.robustness.retries;
-    }
-
-    // Hedged re-issue: a primary attempt running past the trigger is
-    // raced against the replica plan; the faster result wins.
-    if (retry.hedge_after > 0 && slice_time > retry.hedge_after) {
-      ++report.robustness.hedges;
-      Result<double> hedge = backend->ServiceHedge(begin, count, ordinal++);
-      if (hedge.ok()) {
-        const double hedged = retry.hedge_after + *hedge;
-        if (hedged < slice_time) {
-          slice_time = hedged;
-          ++report.robustness.hedge_wins;
-        }
-      }
-    }
-    if (!report.robustness.retry_histogram.empty()) {
-      ++report.robustness.retry_histogram[static_cast<size_t>(attempts)];
-    }
-    *service += slice_time;
-    return true;
+                       double* service) -> Status {
+    Result<double> slice =
+        backend->ServiceSliceCollect(begin, count, ordinal++, out);
+    if (!slice.ok()) return slice.status();
+    *service += *slice;
+    return Status();
   };
 
   // Services `count` tuples from wherever the cyclic cursor points, one
   // slice per stretch up to the sample boundary.
-  auto run_cyclic = [&](uint64_t count, double* service) -> Result<bool> {
+  auto run_cyclic = [&](uint64_t count, double* service) -> Status {
     while (count > 0) {
       const uint64_t take = std::min(count, sample - cursor);
-      Result<bool> served = run_slice(cursor, take, collect, service);
-      if (!served.ok() || !*served) return served;
+      if (Status st = run_slice(cursor, take, collect, service); !st.ok()) {
+        return st;
+      }
       cursor += take;
       if (cursor == sample) cursor = 0;
       count -= take;
     }
-    return true;
+    return Status();
   };
 
   // Services the slice a keyed request selects, memoizing its matches
   // through the cache when one is attached.
-  auto run_keyed = [&](uint64_t key, double* service) -> Result<bool> {
+  auto run_keyed = [&](uint64_t key, double* service) -> Status {
     const uint64_t begin = key * tpr;
     if (cache_ == nullptr) return run_slice(begin, tpr, collect, service);
-    if (cache_->Lookup(key, collect, service)) return true;
+    if (cache_->Lookup(key, collect, service)) return Status();
     scratch.clear();
-    Result<bool> served = run_slice(begin, tpr, &scratch, service);
-    if (!served.ok() || !*served) return served;
+    if (Status st = run_slice(begin, tpr, &scratch, service); !st.ok()) {
+      return st;
+    }
     if (collect != nullptr) {
       collect->insert(collect->end(), scratch.begin(), scratch.end());
     }
     cache_->Insert(key, scratch, service);
-    return true;
+    return Status();
   };
 
   // Closes one batch at `close_t`: the router pops up to the current
@@ -305,24 +225,6 @@ Result<ServeReport> RequestServer::Run() {
     router.PopBatch(batcher.batch_tuples(), &batch_ids);
     for (uint64_t id : batch_ids) request(id).served = true;
     const double start = std::max(close_t, server_free);
-
-    // Deadline budgets: a request whose budget already ran out by the
-    // time its batch would start cannot be served in time, so it is shed
-    // before dispatch.
-    if (retry.deadline_seconds > 0) {
-      const auto doomed =
-          std::remove_if(batch_ids.begin(), batch_ids.end(), [&](uint64_t id) {
-            return request(id).arrival + retry.deadline_seconds < start;
-          });
-      report.robustness.shed_deadline +=
-          static_cast<uint64_t>(batch_ids.end() - doomed);
-      batch_ids.erase(doomed, batch_ids.end());
-      if (batch_ids.empty()) {
-        batcher.ObserveBacklog(backlog());
-        return Status();
-      }
-    }
-
     const uint64_t n_requests = batch_ids.size();
     const uint64_t n_tuples = n_requests * tpr;
 
@@ -341,21 +243,11 @@ Result<ServeReport> RequestServer::Run() {
     // calibrates capacity on.
     const uint64_t per_window = tenancy ? 1 : n_requests;
     for (uint64_t i = 0; i < n_requests; i += per_window) {
-      Result<bool> served =
+      Status served =
           tenants.key_universe > 0
               ? run_keyed(request(batch_ids[i]).draw.key, &service)
               : run_cyclic(per_window * tpr, &service);
-      if (!served.ok()) return served.status();
-      if (!*served) {
-        // Cap exhausted: shed this batch's requests and keep serving. A
-        // permanently-stuck backend degrades to lost requests with the
-        // backoff charged, not a wedged server.
-        report.robustness.shed_retry_exhausted += n_requests;
-        server_free = start + service;
-        report.sim_seconds = std::max(report.sim_seconds, server_free);
-        batcher.ObserveBacklog(backlog());
-        return Status();
-      }
+      if (!served.ok()) return served;
     }
 
     const double end = start + service;
@@ -364,10 +256,6 @@ Result<ServeReport> RequestServer::Run() {
       const Request& req = request(id);
       report.latency.Record(end - req.arrival);
       report.queue_seconds_total += start - req.arrival;
-      if (retry.deadline_seconds > 0 &&
-          end - req.arrival > retry.deadline_seconds) {
-        ++report.robustness.deadline_misses;
-      }
       router.CountServed(req.draw, end - req.arrival);
     }
     report.service_seconds_total +=

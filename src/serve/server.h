@@ -8,7 +8,6 @@
 #include "core/match.h"
 #include "core/window_join.h"
 #include "obs/histogram.h"
-#include "obs/robustness.h"
 #include "obs/tenant.h"
 #include "serve/arrival.h"
 #include "serve/batcher.h"
@@ -39,11 +38,9 @@ class WindowBackend {
   virtual Result<double> ServiceSlice(uint64_t begin, uint64_t count,
                                       uint64_t ordinal) = 0;
 
-  // Hedged re-issue: services the slice on the backend's replica plan —
-  // a safe alternative execution the server falls back to when the
-  // primary attempt runs past RetryPolicy::hedge_after. Defaults to the
-  // primary path; plan::PlannedBackend overrides it to run the static
-  // safe plan instead of the routed one.
+  // Nothing in the program calls this. It forwards to ServiceSlice only
+  // because perfbench's TracedBackend (perfbench/trace.h) overrides it;
+  // ROADMAP item 9 removes both.
   virtual Result<double> ServiceHedge(uint64_t begin, uint64_t count,
                                       uint64_t ordinal) {
     return ServiceSlice(begin, count, ordinal);
@@ -66,42 +63,6 @@ class WindowBackend {
   }
 };
 
-// Deadline budgets, bounded seeded-backoff retries, and hedged re-issue
-// for the serving loop. All defaults off: the server's event sequence,
-// RNG draws and window ordinals are then bit-identical to a build
-// without this machinery (first backend error stays fatal).
-struct RetryPolicy {
-  // Per-request budget in simulated seconds from arrival. A request
-  // whose budget is already exhausted when its batch starts is shed
-  // (never dispatched); one served past its budget counts as a deadline
-  // miss. 0 disables.
-  double deadline_seconds = 0;
-  // Backoff retries allowed per batch slice when the backend errors;
-  // 0 keeps the first error fatal. When the cap is exhausted the batch
-  // is shed (its requests dropped, the server keeps running) instead of
-  // surfacing the error — a stuck backend degrades to lost requests,
-  // not a wedged server.
-  int retry_cap = 0;
-  // Simulated wait before the first retry; doubles per attempt, with a
-  // seeded uniform +/- `backoff_jitter` fraction on top so retry storms
-  // decorrelate. Deterministic for a fixed seed at any thread count.
-  double backoff_base = 1e-5;
-  double backoff_jitter = 0.2;
-  uint64_t seed = 0x5EED;
-  // Hedge trigger: when the primary attempt of a slice takes longer
-  // than this, re-issue it to the replica plan (ServiceHedge) and keep
-  // the faster of the two. 0 disables.
-  double hedge_after = 0;
-
-  bool enabled() const {
-    return deadline_seconds > 0 || retry_cap > 0 || hedge_after > 0;
-  }
-
-  // InvalidArgument naming the offending field (negative or non-finite
-  // deadline/hedge trigger, retry cap outside [0, 32], bad backoff).
-  Status Validate() const;
-};
-
 struct ServeConfig {
   ArrivalConfig arrival;
   BatchPolicy batch;
@@ -112,7 +73,6 @@ struct ServeConfig {
   // Admission bound: a request is shed when accepting it would push the
   // backlog (pending + in-flight tuples) past this. 0 disables shedding.
   uint64_t max_backlog_tuples = (uint64_t{256} << 20) / 8;  // 256 MiB
-  RetryPolicy retry;
   // Multi-tenant mode (default off). num_tenants == 0 serves as one
   // unlimited FIFO tenant whose batches each run as a single window,
   // bit-identical to the serving layer before tenancy existed. See
@@ -153,10 +113,6 @@ struct ServeReport {
   double achieved_requests_per_sec = 0;
   double achieved_tuples_per_sec = 0;
   uint64_t final_batch_tuples = 0;    // adaptive batch size at the end
-  // Retry/hedge/deadline activity (all-zero with the default
-  // RetryPolicy; retry_histogram[k] = batch slices that needed exactly
-  // k backoff retries).
-  obs::RobustnessStats robustness;
   // Tenant-mode accounting: per-tier admission/latency plus the result
   // cache's hit/eviction counters. Empty (any() == false) outside tenant
   // mode.
@@ -220,6 +176,8 @@ class RequestServer {
     return *this;
   }
 
+  // Serves the configured request stream. The first backend error ends
+  // the run and is returned.
   Result<ServeReport> Run();
 
  private:

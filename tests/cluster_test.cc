@@ -18,9 +18,11 @@
 
 #include "cluster/cluster_scheduler.h"
 #include "core/experiment.h"
+#include "dist/shard_planner.h"
 #include "dist/shard_scheduler.h"
 #include "dist/topology.h"
 #include "join/cpu_reference.h"
+#include "mem/address_space.h"
 #include "serve/server.h"
 #include "sim/counters.h"
 #include "sim/fault.h"
@@ -58,6 +60,21 @@ cluster::ClusterRunResult MustRun(
 std::vector<core::JoinMatch> Sorted(std::vector<core::JoinMatch> m) {
   std::sort(m.begin(), m.end());
   return m;
+}
+
+// The CPU reference's matches, sorted. The probe sample is a pure
+// function of the config: a plain dist engine draws the same one over
+// the same R.
+std::vector<core::JoinMatch> ReferenceMatches(
+    const core::ExperimentConfig& cfg) {
+  auto reference = dist::ShardScheduler::Create(cfg, dist::ShardConfig{});
+  EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<core::JoinMatch> expected;
+  for (const join::ReferenceMatch& m : join::CpuReferenceJoin(
+           (*reference)->base_r(), (*reference)->s().keys.data())) {
+    expected.push_back({m.probe_row, m.position});
+  }
+  return Sorted(std::move(expected));
 }
 
 // Membership events and node faults apply at window boundaries, so the
@@ -100,8 +117,7 @@ TEST(ClusterSchedulerTest, RejectsBadConfigs) {
   // One preset enum serves both tiers, so each field rejects the other
   // tier's presets, naming itself.
   for (dist::TopologyKind fabric :
-       {dist::TopologyKind::kNvLink2, dist::TopologyKind::kPciE4,
-        dist::TopologyKind::kNvSwitch}) {
+       {dist::TopologyKind::kNvLink2, dist::TopologyKind::kPciE4}) {
     cluster::ClusterConfig wrong;
     wrong.network = fabric;
     auto engine = cluster::ClusterScheduler::Create(cfg, wrong);
@@ -227,17 +243,77 @@ TEST(ClusterSchedulerTest, NonPowerOfTwoRMatchesTheCpuReference) {
     EXPECT_EQ(node.r_tuples, cfg.r_tuples / 4) << "node " << node.node;
   }
 
-  // The probe sample is a pure function of the config: a plain dist
-  // engine draws the same one over the same R.
-  auto reference = dist::ShardScheduler::Create(cfg, dist::ShardConfig{});
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  std::vector<core::JoinMatch> expected;
-  for (const join::ReferenceMatch& m : join::CpuReferenceJoin(
-           (*reference)->base_r(), (*reference)->s().keys.data())) {
-    expected.push_back({m.probe_row, m.position});
-  }
   EXPECT_EQ(matches.size(), cfg.s_sample);
-  EXPECT_TRUE(Sorted(matches) == Sorted(expected));
+  EXPECT_TRUE(Sorted(matches) == ReferenceMatches(cfg));
+}
+
+// Membership changes over an R that is not a power of two (3 * 2^16
+// keys), whose top cells of the rounded-up key span hold no R: a node
+// joins two, or one of three drains or dies at the start. The cluster
+// counts load in R tuples, so every node left serving holds within one
+// cell of an equal share, and the cluster still finds exactly the CPU
+// reference's matches.
+TEST(ClusterSchedulerTest, MembershipChangesShareANonPowerOfTwoREqually) {
+  core::ExperimentConfig cfg = ClusterExpConfig();
+  cfg.r_tuples = uint64_t{3} << 16;
+  cfg.s_sample = uint64_t{1} << 14;
+  const std::vector<core::JoinMatch> expected = ReferenceMatches(cfg);
+
+  auto nodes = [](int n) {
+    cluster::ClusterConfig ccfg;
+    ccfg.num_nodes = n;
+    ccfg.gpus_per_node = 1;
+    return ccfg;
+  };
+  cluster::ClusterConfig join = nodes(2);
+  join.membership.push_back(
+      {cluster::MembershipEvent::Kind::kAddNode, -1, 0.0});
+  cluster::ClusterConfig drain = nodes(3);
+  drain.membership.push_back(
+      {cluster::MembershipEvent::Kind::kDrainNode, /*node=*/0, 0.0});
+  cluster::ClusterConfig death = nodes(3);
+  death.failover.node_faults.events.push_back(
+      {sim::DeviceFaultClass::kShardCrash, /*shard=*/0, /*at_seconds=*/0.0});
+
+  const struct {
+    const char* name;
+    cluster::ClusterConfig ccfg;
+    uint64_t serving;  // nodes left taking charge
+  } cases[] = {{"join", join, 3}, {"drain", drain, 2}, {"death", death, 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<core::JoinMatch> matches;
+    const auto run = MustRun(cfg, c.ccfg, &matches);
+
+    // The node plan is dist's planner over the origin nodes.
+    mem::AddressSpace space;
+    workload::DenseKeyColumn r(&space, cfg.r_tuples);
+    auto plan = dist::ShardPlanner::Plan(r, c.ccfg.num_nodes);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    uint64_t cell = 0;
+    for (uint64_t p = 0; p < plan->cells(); ++p) {
+      cell = std::max(cell, plan->cell_r_tuples(p));
+    }
+    uint64_t serving = 0;
+    for (const auto& node : run.nodes) {
+      if (node.alive && !node.drained) ++serving;
+    }
+    ASSERT_EQ(serving, c.serving);
+    const uint64_t equal = cfg.r_tuples / serving;
+    for (const auto& node : run.nodes) {
+      if (!node.alive || node.drained) {
+        EXPECT_EQ(node.r_tuples, 0u) << "node " << node.node;
+        continue;
+      }
+      const uint64_t off = node.r_tuples > equal ? node.r_tuples - equal
+                                                 : equal - node.r_tuples;
+      EXPECT_LE(off, cell) << "node " << node.node << " holds "
+                           << node.r_tuples;
+    }
+
+    EXPECT_EQ(matches.size(), cfg.s_sample);
+    EXPECT_TRUE(Sorted(matches) == expected);
+  }
 }
 
 // Node death mid-run: the dead node's key range is rerouted to the

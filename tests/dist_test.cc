@@ -52,9 +52,7 @@ TEST(TopologyTest, NvLinkHostLinksAreDedicated) {
 }
 
 TEST(TopologyTest, PeerTransfersCostTimeAndScaleWithBytes) {
-  for (auto kind :
-       {dist::TopologyKind::kNvLink2, dist::TopologyKind::kPciE4,
-        dist::TopologyKind::kNvSwitch}) {
+  for (auto kind : {dist::TopologyKind::kNvLink2, dist::TopologyKind::kPciE4}) {
     auto topo = dist::Topology::Create(kind, 2);
     ASSERT_TRUE(topo.ok()) << topo.status().ToString();
     const double small = topo->PeerSeconds(0, 1, 1 << 10);
@@ -64,14 +62,6 @@ TEST(TopologyTest, PeerTransfersCostTimeAndScaleWithBytes) {
     EXPECT_EQ(topo->PeerSeconds(0, 0, 1 << 20), 0);
     EXPECT_FALSE(topo->PeerLinks(0, 1).empty());
   }
-}
-
-TEST(TopologyTest, NvSwitchPeerHopBeatsThroughHost) {
-  auto sw = dist::Topology::Create(dist::TopologyKind::kNvSwitch, 4);
-  auto nv = dist::Topology::Create(dist::TopologyKind::kNvLink2, 4);
-  ASSERT_TRUE(sw.ok() && nv.ok());
-  const uint64_t bytes = uint64_t{1} << 26;
-  EXPECT_LT(sw->PeerSeconds(0, 3, bytes), nv->PeerSeconds(0, 3, bytes));
 }
 
 // --------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "index/dynamic_btree.h"
 #include "mem/address_space.h"
-#include "sim/gpu.h"
 #include "util/rng.h"
 
 namespace gpujoin::index {
@@ -17,8 +17,6 @@ using workload::Key;
 
 class DynamicBTreeTest : public ::testing::Test {
  protected:
-  DynamicBTreeTest() : gpu_(&space_, sim::V100NvLink2()) {}
-
   // Small nodes force deep trees and frequent splits/merges.
   DynamicBTree MakeSmallNodeTree() {
     DynamicBTree::Options opts;
@@ -27,7 +25,6 @@ class DynamicBTreeTest : public ::testing::Test {
   }
 
   mem::AddressSpace space_;
-  sim::Gpu gpu_;
 };
 
 TEST_F(DynamicBTreeTest, EmptyTree) {
@@ -150,42 +147,6 @@ TEST_F(DynamicBTreeTest, MixedWorkloadMatchesReferenceMap) {
     ASSERT_TRUE(found.has_value()) << key;
     EXPECT_EQ(*found, value);
   }
-}
-
-TEST_F(DynamicBTreeTest, WarpLookupMatchesFind) {
-  DynamicBTree tree = MakeSmallNodeTree();
-  for (Key k = 0; k < 8000; ++k) tree.Insert(k * 2, static_cast<uint64_t>(k));
-
-  std::vector<Key> probes;
-  Xoshiro256 rng(13);
-  for (int i = 0; i < 512; ++i) {
-    probes.push_back(static_cast<Key>(rng.NextBounded(16005)));
-  }
-  std::vector<uint64_t> values(probes.size());
-  std::vector<bool> found(probes.size());
-  gpu_.RunKernel("lookup", probes.size(), [&](sim::Warp& warp) {
-    std::array<Key, 32> k{};
-    std::array<uint64_t, 32> v{};
-    const uint64_t base = warp.base_item();
-    for (int lane = 0; lane < warp.lane_count(); ++lane) {
-      k[lane] = probes[base + lane];
-    }
-    const uint32_t f =
-        tree.LookupWarp(warp, k.data(), warp.full_mask(), v.data());
-    for (int lane = 0; lane < warp.lane_count(); ++lane) {
-      values[base + lane] = v[lane];
-      found[base + lane] = (f >> lane) & 1;
-    }
-  });
-  for (size_t i = 0; i < probes.size(); ++i) {
-    auto expected = tree.Find(probes[i]);
-    ASSERT_EQ(found[i], expected.has_value()) << probes[i];
-    if (expected.has_value()) {
-      EXPECT_EQ(values[i], *expected);
-    }
-  }
-  // The lookups must have charged simulated traffic.
-  EXPECT_GT(gpu_.memory().counters().memory_transactions, 0u);
 }
 
 TEST_F(DynamicBTreeTest, LookupAfterHeavyChurnStillCorrect) {
@@ -351,8 +312,8 @@ TEST_F(DynamicBTreeTest, VisitTraversesInKeyOrder) {
 // Satellite regression: erasing a leaf's *first* key leaves its copied
 // separator in the parent. The routing invariant (separators are lower
 // bounds, not first-key mirrors) makes that safe; this fixed-seed test
-// erases and re-inserts every key of a deep tree and checks that both
-// CPU and warp routing still find them.
+// erases and re-inserts every key of a deep tree and checks that the
+// routing still finds them.
 TEST_F(DynamicBTreeTest, EraseFirstLeafKeyThenReinsertRoutesCorrectly) {
   DynamicBTree tree = MakeSmallNodeTree();
   const Key n = 6000;
@@ -383,67 +344,26 @@ TEST_F(DynamicBTreeTest, EraseFirstLeafKeyThenReinsertRoutesCorrectly) {
   }
   tree.CheckInvariants();
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-
-  // The warp read path routes through the same separators.
-  std::vector<Key> probes(order.begin(), order.begin() + 512);
-  std::vector<uint64_t> values(probes.size());
-  std::vector<bool> found(probes.size());
-  gpu_.RunKernel("lookup", probes.size(), [&](sim::Warp& warp) {
-    std::array<Key, 32> k{};
-    std::array<uint64_t, 32> v{};
-    const uint64_t base = warp.base_item();
-    for (int lane = 0; lane < warp.lane_count(); ++lane) {
-      k[lane] = probes[base + lane];
-    }
-    const uint32_t f =
-        tree.LookupWarp(warp, k.data(), warp.full_mask(), v.data());
-    for (int lane = 0; lane < warp.lane_count(); ++lane) {
-      values[base + lane] = v[lane];
-      found[base + lane] = (f >> lane) & 1;
-    }
-  });
-  for (size_t i = 0; i < probes.size(); ++i) {
-    ASSERT_TRUE(found[i]) << probes[i];
-    EXPECT_EQ(values[i], static_cast<uint64_t>(probes[i]) + 1);
-  }
 }
 
 // Satellite coverage: randomized insert/erase/overwrite interleaved with
-// warp lookups, differential against std::map — including slot recycling
-// after heavy erase phases and duplicate-key overwrites not bumping
-// size_.
-TEST_F(DynamicBTreeTest, InterleavedChurnWarpDifferentialVsMap) {
+// batches of lookups, differential against std::map — including slot
+// recycling after heavy erase phases and duplicate-key overwrites not
+// bumping size_.
+TEST_F(DynamicBTreeTest, InterleavedChurnDifferentialVsMap) {
   DynamicBTree tree = MakeSmallNodeTree();
   std::map<Key, uint64_t> reference;
   Xoshiro256 rng(0xD1FF);
   const Key key_space = 3000;
 
-  auto check_warp_batch = [&]() {
-    std::vector<Key> probes;
+  auto check_batch = [&]() {
     for (int i = 0; i < 128; ++i) {
-      probes.push_back(static_cast<Key>(rng.NextBounded(key_space + 50)));
-    }
-    std::vector<uint64_t> values(probes.size());
-    std::vector<bool> found(probes.size());
-    gpu_.RunKernel("lookup", probes.size(), [&](sim::Warp& warp) {
-      std::array<Key, 32> k{};
-      std::array<uint64_t, 32> v{};
-      const uint64_t base = warp.base_item();
-      for (int lane = 0; lane < warp.lane_count(); ++lane) {
-        k[lane] = probes[base + lane];
-      }
-      const uint32_t f =
-          tree.LookupWarp(warp, k.data(), warp.full_mask(), v.data());
-      for (int lane = 0; lane < warp.lane_count(); ++lane) {
-        values[base + lane] = v[lane];
-        found[base + lane] = (f >> lane) & 1;
-      }
-    });
-    for (size_t i = 0; i < probes.size(); ++i) {
-      auto it = reference.find(probes[i]);
-      ASSERT_EQ(found[i], it != reference.end()) << probes[i];
+      const Key probe = static_cast<Key>(rng.NextBounded(key_space + 50));
+      auto it = reference.find(probe);
+      const std::optional<uint64_t> found = tree.Find(probe);
+      ASSERT_EQ(found.has_value(), it != reference.end()) << probe;
       if (it != reference.end()) {
-        EXPECT_EQ(values[i], it->second);
+        EXPECT_EQ(*found, it->second);
       }
     }
   };
@@ -463,10 +383,10 @@ TEST_F(DynamicBTreeTest, InterleavedChurnWarpDifferentialVsMap) {
         reference[key] = value;
       }
       ASSERT_EQ(tree.size(), reference.size());
-      if (op % 1000 == 0) check_warp_batch();
+      if (op % 1000 == 0) check_batch();
     }
     tree.CheckInvariants();
-    check_warp_batch();
+    check_batch();
   }
   // Slot recycling kept the reservation bounded across the churn: the
   // live key space fits comfortably in far fewer nodes than the churn

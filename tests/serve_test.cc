@@ -11,7 +11,6 @@
 #include "core/experiment.h"
 #include "core/window_join.h"
 #include "obs/histogram.h"
-#include "obs/robustness.h"
 #include "serve/arrival.h"
 #include "serve/batcher.h"
 #include "serve/server.h"
@@ -390,47 +389,27 @@ TEST(RequestServer, AdaptiveBatchingGrowsUnderLoad) {
 }
 
 // --------------------------------------------------------------------
-// RetryPolicy: deadline budgets, seeded backoff retries, hedging
+// Backend errors
 
-// Scriptable backend for the retry paths: a fixed service time per
-// slice, the first `fail_first` ServiceSlice calls error (or all of
-// them with fail_first < 0), and an optional faster replica services
-// hedges. Counts every call so tests can assert exact retry budgets.
-class FlakyBackend final : public WindowBackend {
+// A backend whose every slice fails. Counts the calls.
+class FailingBackend final : public WindowBackend {
  public:
-  FlakyBackend(double slice_seconds, int fail_first,
-               double hedge_seconds = 0)
-      : slice_seconds_(slice_seconds),
-        fail_first_(fail_first),
-        hedge_seconds_(hedge_seconds) {}
-
   uint64_t sample_size() const override { return uint64_t{1} << 20; }
 
   Result<double> ServiceSlice(uint64_t, uint64_t, uint64_t) override {
-    ++slice_calls_;
-    if (fail_first_ < 0 || slice_calls_ <= fail_first_) {
-      return Status::Internal("injected backend failure");
-    }
-    return slice_seconds_;
+    ++calls_;
+    return Status::Internal("injected backend failure");
   }
 
-  Result<double> ServiceHedge(uint64_t, uint64_t, uint64_t) override {
-    ++hedge_calls_;
-    return hedge_seconds_ > 0 ? hedge_seconds_ : slice_seconds_;
-  }
-
-  int slice_calls() const { return slice_calls_; }
-  int hedge_calls() const { return hedge_calls_; }
+  int calls() const { return calls_; }
 
  private:
-  double slice_seconds_;
-  int fail_first_;  // < 0: every ServiceSlice call fails
-  double hedge_seconds_;
-  int slice_calls_ = 0;
-  int hedge_calls_ = 0;
+  int calls_ = 0;
 };
 
-ServeConfig RetryServeConfig() {
+// One 512-tuple request per batch under deterministic arrivals; nothing
+// is shed.
+ServeConfig StubServeConfig() {
   ServeConfig sc;
   sc.arrival.model = ArrivalModel::kDeterministic;
   sc.arrival.rate = 1e4;
@@ -444,180 +423,13 @@ ServeConfig RetryServeConfig() {
   return sc;
 }
 
-TEST(RetryPolicy, DefaultKeepsFirstBackendErrorFatal) {
-  FlakyBackend backend(1e-5, /*fail_first=*/1);
-  RequestServer server(backend, RetryServeConfig());
+TEST(RequestServer, DefaultKeepsFirstBackendErrorFatal) {
+  FailingBackend backend;
+  RequestServer server(backend, StubServeConfig());
   auto r = server.Run();
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(backend.slice_calls(), 1);
-}
-
-TEST(RetryPolicy, TransientErrorsAreRetriedWithinTheCap) {
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.retry_cap = 3;
-  FlakyBackend backend(1e-5, /*fail_first=*/2);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  // The first batch burned two retries, everything after succeeded
-  // first try; nothing was shed.
-  EXPECT_EQ(r.robustness.retries, 2u);
-  EXPECT_EQ(r.robustness.shed_retry_exhausted, 0u);
-  EXPECT_EQ(r.latency.count(), sc.requests);
-  ASSERT_EQ(r.robustness.retry_histogram.size(), 4u);
-  EXPECT_EQ(r.robustness.retry_histogram[2], 1u);
-  EXPECT_EQ(r.robustness.retry_histogram[0],
-            r.counters.batches - 1);
-}
-
-TEST(RetryPolicy, RetriesNeverExceedTheCap) {
-  // A permanently-stuck backend: every slice must be attempted exactly
-  // 1 + retry_cap times, then its batch shed — the server never wedges
-  // and never exceeds the budget.
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.retry_cap = 4;
-  FlakyBackend backend(1e-5, /*fail_first=*/-1);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  EXPECT_EQ(r.robustness.shed_retry_exhausted,
-            static_cast<uint64_t>(sc.requests));
-  EXPECT_EQ(r.latency.count(), 0u);
-  EXPECT_EQ(backend.slice_calls() % (1 + sc.retry.retry_cap), 0);
-  EXPECT_EQ(r.robustness.retries,
-            static_cast<uint64_t>(backend.slice_calls()) -
-                static_cast<uint64_t>(backend.slice_calls()) /
-                    (1 + sc.retry.retry_cap));
-}
-
-TEST(RetryPolicy, StuckBackendKeepsServerTimeBounded) {
-  // Shedding charges only the backoff waits, so even with every batch
-  // failing the simulated makespan stays within the total backoff
-  // budget plus the arrival horizon — bounded, not wedged.
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.retry_cap = 4;
-  sc.retry.backoff_base = 1e-5;
-  sc.retry.backoff_jitter = 0.25;
-  FlakyBackend backend(1e-5, /*fail_first=*/-1);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  const double horizon =
-      static_cast<double>(sc.requests) / sc.arrival.rate;
-  // Worst case per shed batch: sum of jittered backoffs
-  // (base * (2^cap - 1) * (1 + jitter)).
-  const double per_batch = sc.retry.backoff_base * 15 * 1.25;
-  EXPECT_LE(r.sim_seconds,
-            horizon + per_batch * static_cast<double>(sc.requests) + 1.0);
-}
-
-TEST(RetryPolicy, BackoffJitterIsSeedDeterministic) {
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.retry_cap = 3;
-  sc.retry.backoff_jitter = 0.5;
-  auto run_once = [&sc]() {
-    FlakyBackend backend(1e-5, /*fail_first=*/2);
-    RequestServer server(backend, sc);
-    return server.Run().value();
-  };
-  const ServeReport a = run_once();
-  const ServeReport b = run_once();
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_EQ(a.service_seconds_total, b.service_seconds_total);
-  EXPECT_EQ(a.robustness.retries, b.robustness.retries);
-
-  sc.retry.seed ^= 0x1234;
-  const ServeReport c = run_once();
-  // A different seed draws different jitter, so the backoff-inflated
-  // service time moves (the event structure stays the same).
-  EXPECT_NE(a.service_seconds_total, c.service_seconds_total);
-  EXPECT_EQ(a.robustness.retries, c.robustness.retries);
-}
-
-TEST(RetryPolicy, DoomedRequestsAreShedBeforeDispatch) {
-  ServeConfig sc = RetryServeConfig();
-  // Requests arrive every 0.1 ms; a slow backend (1 ms per batch)
-  // queues them far past a 0.5 ms budget, so later batches start after
-  // their requests' deadlines already passed.
-  sc.retry.deadline_seconds = 5e-4;
-  FlakyBackend backend(1e-3, /*fail_first=*/0);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  EXPECT_GT(r.robustness.shed_deadline, 0u);
-  EXPECT_LT(r.latency.count(), static_cast<uint64_t>(sc.requests));
-  EXPECT_EQ(r.latency.count() + r.robustness.shed_deadline,
-            static_cast<uint64_t>(sc.requests));
-}
-
-TEST(RetryPolicy, ServedPastBudgetCountsAsDeadlineMiss) {
-  ServeConfig sc = RetryServeConfig();
-  // The budget exceeds one batch's queueing but not its service: every
-  // request is served, every one late.
-  sc.retry.deadline_seconds = 5e-4;
-  sc.arrival.rate = 1e2;  // no queueing between batches
-  FlakyBackend backend(1e-3, /*fail_first=*/0);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  EXPECT_EQ(r.robustness.shed_deadline, 0u);
-  EXPECT_EQ(r.latency.count(), static_cast<uint64_t>(sc.requests));
-  EXPECT_EQ(r.robustness.deadline_misses,
-            static_cast<uint64_t>(sc.requests));
-}
-
-TEST(RetryPolicy, HedgeWinsWhenReplicaIsFaster) {
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.hedge_after = 1e-4;
-  // Primary 1 ms, replica 0.1 ms: every slice hedges and the hedge wins
-  // (hedge_after + replica < primary).
-  FlakyBackend backend(1e-3, /*fail_first=*/0, /*hedge_seconds=*/1e-4);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  EXPECT_EQ(r.robustness.hedges, static_cast<uint64_t>(sc.requests));
-  EXPECT_EQ(r.robustness.hedge_wins, r.robustness.hedges);
-  EXPECT_EQ(backend.hedge_calls(), static_cast<int>(sc.requests));
-  // Charged time per batch is hedge_after + replica, not the primary.
-  EXPECT_LT(r.service_seconds_total,
-            1e-3 * static_cast<double>(sc.requests));
-}
-
-TEST(RetryPolicy, HedgeLosesWhenReplicaIsSlower) {
-  ServeConfig sc = RetryServeConfig();
-  sc.retry.hedge_after = 1e-4;
-  FlakyBackend backend(1e-3, /*fail_first=*/0, /*hedge_seconds=*/5e-3);
-  RequestServer server(backend, sc);
-  ServeReport r = server.Run().value();
-
-  EXPECT_EQ(r.robustness.hedges, static_cast<uint64_t>(sc.requests));
-  EXPECT_EQ(r.robustness.hedge_wins, 0u);
-}
-
-TEST(RetryPolicy, InvalidKnobsAreNamedInTheError) {
-  FlakyBackend backend(1e-5, /*fail_first=*/0);
-  const struct {
-    void (*set)(RetryPolicy&);
-    const char* names;
-  } cases[] = {
-      {[](RetryPolicy& p) { p.deadline_seconds = -1; },
-       "deadline_seconds"},
-      {[](RetryPolicy& p) { p.retry_cap = 33; }, "retry_cap"},
-      {[](RetryPolicy& p) { p.retry_cap = 1; p.backoff_base = 0; },
-       "backoff_base"},
-      {[](RetryPolicy& p) { p.backoff_jitter = 1.5; }, "backoff_jitter"},
-      {[](RetryPolicy& p) { p.hedge_after = -2; }, "hedge_after"},
-  };
-  for (const auto& c : cases) {
-    ServeConfig sc = RetryServeConfig();
-    c.set(sc.retry);
-    RequestServer server(backend, sc);
-    auto r = server.Run();
-    ASSERT_FALSE(r.ok()) << c.names;
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.names;
-    EXPECT_NE(r.status().ToString().find(c.names), std::string::npos)
-        << r.status().ToString();
-  }
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(backend.calls(), 1);
 }
 
 // --------------------------------------------------------------------
@@ -637,15 +449,6 @@ struct PinnedServe {
   uint64_t latency_count;
   ServeCounters counters;
   uint64_t final_batch_tuples;
-  struct {
-    uint64_t retries = 0;
-    uint64_t hedges = 0;
-    uint64_t hedge_wins = 0;
-    uint64_t deadline_misses = 0;
-    uint64_t shed_deadline = 0;
-    uint64_t shed_retry_exhausted = 0;
-    std::vector<uint64_t> retry_histogram = {};
-  } robustness;
 };
 
 void ExpectPinned(const ServeReport& r, const PinnedServe& p) {
@@ -667,14 +470,6 @@ void ExpectPinned(const ServeReport& r, const PinnedServe& p) {
   EXPECT_EQ(c.window_grows, p.counters.window_grows);
   EXPECT_EQ(c.window_shrinks, p.counters.window_shrinks);
   EXPECT_EQ(r.final_batch_tuples, p.final_batch_tuples);
-  const obs::RobustnessStats& b = r.robustness;
-  EXPECT_EQ(b.retries, p.robustness.retries);
-  EXPECT_EQ(b.hedges, p.robustness.hedges);
-  EXPECT_EQ(b.hedge_wins, p.robustness.hedge_wins);
-  EXPECT_EQ(b.deadline_misses, p.robustness.deadline_misses);
-  EXPECT_EQ(b.shed_deadline, p.robustness.shed_deadline);
-  EXPECT_EQ(b.shed_retry_exhausted, p.robustness.shed_retry_exhausted);
-  EXPECT_EQ(b.retry_histogram, p.robustness.retry_histogram);
 }
 
 TEST(RequestServer, SimulatedOutputIsPinned) {
@@ -707,52 +502,17 @@ TEST(RequestServer, SimulatedOutputIsPinned) {
                    .size_batches = 55,
                    .window_grows = 4,
                    .window_shrinks = 3},
-                  8192,
-                  {}});
-  }
-  {
-    // Every retry path at once: a queue deep enough to shed requests on
-    // their budget and to miss it, one batch that exhausts the retry cap,
-    // one that succeeds after a jittered backoff, and a replica fast
-    // enough that every hedge wins.
-    ServeConfig sc = RetryServeConfig();
-    sc.batch.batch_tuples = sc.batch.min_batch_tuples =
-        4 * sc.tuples_per_request;
-    sc.batch.deadline_seconds = 5e-4;
-    sc.retry.deadline_seconds = 2e-3;
-    sc.retry.retry_cap = 2;
-    sc.retry.backoff_jitter = 0.5;
-    sc.retry.hedge_after = 1e-4;
-    FlakyBackend backend(1e-3, /*fail_first=*/4, /*hedge_seconds=*/5e-4);
-    RequestServer server(backend, sc);
-    ExpectPinned(server.Run().value(),
-                 {"flaky_retry_hedge_deadline", 0x1.1a1ec61163925p-7,
-                  0x1.5b9848a83b374p-4, 0x1.48f10f42b048ep-9,
-                  0x1.caf1d85a8451cp-5, 0x1.d87d71ebe4399p-6, 48,
-                  {.requests_admitted = 64,
-                   .requests_shed = 0,
-                   .batches = 13,
-                   .tuples_served = 24576,
-                   .deadline_batches = 0,
-                   .size_batches = 13,
-                   .window_grows = 0,
-                   .window_shrinks = 0},
-                  2048,
-                  {.retries = 3,
-                   .hedges = 13,
-                   .hedge_wins = 13,
-                   .deadline_misses = 22,
-                   .shed_deadline = 12,
-                   .shed_retry_exhausted = 4,
-                   .retry_histogram = {12, 1, 1}}});
+                  8192});
   }
 }
 
 TEST(RequestServer, SurfacesBatchAndArrivalValidationErrors) {
-  FlakyBackend backend(1e-5, /*fail_first=*/0);
+  // Validation runs before the first slice, so the failing backend is
+  // never reached.
+  FailingBackend backend;
 
   // The inverted batch band is rejected up front, not clamped silently.
-  ServeConfig bad_batch = RetryServeConfig();
+  ServeConfig bad_batch = StubServeConfig();
   bad_batch.batch.min_batch_tuples = 1 << 20;
   bad_batch.batch.max_batch_tuples = 1 << 10;
   auto r1 = RequestServer(backend, bad_batch).Run();
@@ -761,7 +521,7 @@ TEST(RequestServer, SurfacesBatchAndArrivalValidationErrors) {
   EXPECT_NE(r1.status().ToString().find("min_batch_tuples"),
             std::string::npos);
 
-  ServeConfig bad_deadline = RetryServeConfig();
+  ServeConfig bad_deadline = StubServeConfig();
   bad_deadline.batch.deadline_seconds = 0;
   auto r2 = RequestServer(backend, bad_deadline).Run();
   ASSERT_FALSE(r2.ok());
@@ -769,12 +529,13 @@ TEST(RequestServer, SurfacesBatchAndArrivalValidationErrors) {
             std::string::npos);
 
   // The documented-but-unenforced burst_factor > 1 is now enforced.
-  ServeConfig bad_burst = RetryServeConfig();
+  ServeConfig bad_burst = StubServeConfig();
   bad_burst.arrival.model = ArrivalModel::kOnOff;
   bad_burst.arrival.burst_factor = 0.5;
   auto r3 = RequestServer(backend, bad_burst).Run();
   ASSERT_FALSE(r3.ok());
   EXPECT_NE(r3.status().ToString().find("burst_factor"), std::string::npos);
+  EXPECT_EQ(backend.calls(), 0);
 }
 
 }  // namespace

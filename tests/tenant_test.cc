@@ -519,14 +519,6 @@ TEST(RequestServer, TenantModeRejectsIncompatibleKnobs) {
   FakeBackend backend(1 << 20, 1e-7);
 
   {
-    ServeConfig sc = TenantServeConfig();
-    sc.retry.retry_cap = 2;
-    RequestServer server(backend, sc);
-    auto r = server.Run();
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().ToString().find("retry"), std::string::npos);
-  }
-  {
     // Keyed requests must fit inside the probe sample.
     ServeConfig sc = TenantServeConfig();
     sc.tenants.key_universe = (1 << 20) / 64 + 1;

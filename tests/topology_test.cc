@@ -21,7 +21,6 @@ namespace {
 const dist::TopologyKind kKinds[] = {
     dist::TopologyKind::kNvLink2,
     dist::TopologyKind::kPciE4,
-    dist::TopologyKind::kNvSwitch,
     dist::TopologyKind::kInfiniBand,
     dist::TopologyKind::kEthernet,
 };
